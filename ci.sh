@@ -25,8 +25,8 @@ cargo run -q --release -p rmac-experiments --bin fuzz_scenarios -- --smoke
 echo "==> soak_live --smoke (live loopback soak: 100% delivery under 20% GE loss)"
 cargo run -q --release -p rmac-experiments --bin soak_live -- --smoke
 
-echo "==> shard stage (sharded-engine equivalence proptests + bench_shard --smoke)"
-cargo test -q --release --test shard_equivalence --test shard_tiebreak
+echo "==> shard stage (sharded-engine equivalence proptests + balance/islands tests + bench_shard --smoke)"
+cargo test -q --release --test shard_equivalence --test shard_tiebreak --test shard_balance
 cargo run -q --release -p rmac-experiments --bin bench_shard -- --smoke
 
 echo "==> queue stage (calendar/heap differential proptests + bench_phy --smoke A/B)"

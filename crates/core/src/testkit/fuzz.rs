@@ -22,6 +22,15 @@ pub enum FuzzTopology {
     /// A dense square cluster: `nodes` random positions in a
     /// `side_m × side_m` box — contention and fan-out stress.
     Cluster { nodes: usize, side_m: f64 },
+    /// `clusters` translated copies of one random `nodes`-node cluster
+    /// in a `side_m × side_m` box, spaced beyond radio range: several
+    /// radio components whose mirrored events land on the same
+    /// nanoseconds — the sharded engine's multi-group path.
+    Islands {
+        clusters: usize,
+        nodes: usize,
+        side_m: f64,
+    },
 }
 
 impl FuzzTopology {
@@ -30,6 +39,9 @@ impl FuzzTopology {
         match *self {
             FuzzTopology::Chain { hops, .. } => hops + 1,
             FuzzTopology::Cluster { nodes, .. } => nodes,
+            FuzzTopology::Islands {
+                clusters, nodes, ..
+            } => clusters * nodes,
         }
     }
 }
@@ -146,6 +158,11 @@ impl FuzzScenario {
             FuzzTopology::Cluster { nodes, side_m } => {
                 format!("cluster{}in{:.0}m", nodes, side_m)
             }
+            FuzzTopology::Islands {
+                clusters,
+                nodes,
+                side_m,
+            } => format!("islands{}x{}in{:.0}m", clusters, nodes, side_m),
         };
         format!(
             "{topo}-{:?}-{:.0}pps-{}pkt-{}B-s{}{}{}",
@@ -170,13 +187,21 @@ impl FuzzScenario {
 }
 
 /// Strategy over topologies: chains up to 5 hops (spacing inside, at, or
-/// slightly past radio range) and clusters up to 7 nodes.
+/// slightly past radio range), clusters up to 7 nodes, and 2–4 islands
+/// of 2–3 nodes each.
 pub fn topology_strategy() -> impl Strategy<Value = FuzzTopology> {
     prop_oneof![
         (1usize..=5, 40.0..80.0)
             .prop_map(|(hops, spacing_m)| FuzzTopology::Chain { hops, spacing_m }),
         (2usize..=7, 40.0..120.0)
             .prop_map(|(nodes, side_m)| FuzzTopology::Cluster { nodes, side_m }),
+        (2usize..=4, 2usize..=3, 30.0..70.0).prop_map(|(clusters, nodes, side_m)| {
+            FuzzTopology::Islands {
+                clusters,
+                nodes,
+                side_m,
+            }
+        }),
     ]
 }
 
@@ -258,7 +283,7 @@ mod tests {
         let mut rng = TestRng::for_case("fuzz_strategy_bounds", 0);
         for _ in 0..200 {
             let s = strat.generate(&mut rng);
-            assert!((2..=8).contains(&s.nodes()), "{:?}", s.topology);
+            assert!((2..=12).contains(&s.nodes()), "{:?}", s.topology);
             assert!(s.rate_pps >= 5.0 && s.rate_pps < 60.0);
             assert!((3..=30).contains(&s.packets));
             assert!((50..=500).contains(&s.payload));
@@ -298,6 +323,9 @@ mod tests {
         assert!(draws
             .iter()
             .any(|s| matches!(s.topology, FuzzTopology::Cluster { .. })));
+        assert!(draws
+            .iter()
+            .any(|s| matches!(s.topology, FuzzTopology::Islands { .. })));
         assert!(draws.iter().any(|s| s.shards == 1));
         assert!(draws.iter().any(|s| s.shards > 1));
         assert!(draws.iter().any(|s| s.queue == FuzzQueue::Heap));

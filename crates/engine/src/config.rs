@@ -4,9 +4,15 @@ use rmac_baselines::{Bmmm, Bmw, Lbp, Mx};
 use rmac_core::api::MacService;
 use rmac_core::{MacConfig, Rmac};
 use rmac_mobility::{Bounds, MobilityKind, Pos};
-use rmac_sim::SimTime;
+use rmac_sim::{SimRng, SimTime};
 use rmac_wire::consts::PAPER_PAYLOAD;
 use rmac_wire::NodeId;
+
+/// Cells in the [`ScenarioConfig::multicell`] topology.
+const MULTICELL_CELLS: usize = 8;
+/// Gap between adjacent multicell cells (m); wider than the 75 m radio
+/// range, so cells never couple.
+const MULTICELL_GAP_M: f64 = 120.0;
 
 /// Which MAC protocol a run uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,6 +61,19 @@ impl Protocol {
             }
             Protocol::Bmmm => rmac_check::ProtocolClass::Bmmm,
             Protocol::Bmw | Protocol::Lbp | Protocol::Mx80211 => rmac_check::ProtocolClass::Other,
+        }
+    }
+
+    /// Rough data-channel frames one forwarding hop sends per packet
+    /// (RMAC: MRTS + DATA; the RTS/CTS baselines add their handshakes).
+    /// Only the sharded engine's load balancer reads it, to weigh the
+    /// source's radio component; results never depend on it.
+    pub(crate) fn frames_per_packet(self) -> u64 {
+        match self {
+            Protocol::Rmac | Protocol::RmacNoRbt | Protocol::RmacSkipRbtSense => 2,
+            Protocol::Mx80211 => 3,
+            Protocol::Bmw | Protocol::Lbp => 4,
+            Protocol::Bmmm => 5,
         }
     }
 
@@ -161,10 +180,10 @@ pub struct ScenarioConfig {
     /// panics on any invariant violation). Off by default; like the obs
     /// layer, an attached checker never perturbs the simulation.
     pub check: bool,
-    /// Shard count for the sharded conservative-sync engine
-    /// ([`crate::run_replication_sharded`]): the plane is cut into this
-    /// many equal-width stripes along x, each owning the events of the
-    /// nodes inside it. `1` (the default) is the single-queue oracle;
+    /// Cap on concurrent shard groups for the sharded engine
+    /// ([`crate::run_replication_sharded`]): the engine packs the
+    /// scenario's radio components into at most this many groups and runs
+    /// each on its own thread. `1` (the default) runs the flat engine;
     /// any value produces bit-identical reports (DESIGN.md §10, enforced
     /// by `tests/shard_equivalence.rs`).
     pub shards: usize,
@@ -220,6 +239,38 @@ impl ScenarioConfig {
         Self::base("speed2", MobilityKind::paper_speed2(), rate_pps)
     }
 
+    /// The multicell topology: `nodes` split evenly over eight cells in a
+    /// row along x, each at the paper's density (75 nodes per 500 m ×
+    /// 300 m) and separated by radio-silent gaps, stationary at 20 pkt/s. Node numbering is cell-major, so the
+    /// source (node 0) sits in cell 0 and the other cells only beacon.
+    /// The placement comes from a fixed stream, independent of the
+    /// replication seed. The sharded engine's scaling workload.
+    pub fn multicell(nodes: usize, packets: u64) -> ScenarioConfig {
+        assert!(nodes >= MULTICELL_CELLS, "need at least one node per cell");
+        let per_cell = nodes / MULTICELL_CELLS;
+        let scale = (per_cell as f64 / 75.0).sqrt();
+        let (cell_w, cell_h) = (500.0 * scale, 300.0 * scale);
+        let pitch = cell_w + MULTICELL_GAP_M;
+        let mut rng = SimRng::new(0xC0FFEE).split(7);
+        let positions = (0..nodes)
+            .map(|i| {
+                let cell = (i * MULTICELL_CELLS / nodes).min(MULTICELL_CELLS - 1);
+                let x0 = cell as f64 * pitch;
+                Pos::new(
+                    rng.uniform_f64(x0, x0 + cell_w),
+                    rng.uniform_f64(0.0, cell_h),
+                )
+            })
+            .collect();
+        let mut cfg = ScenarioConfig::paper_stationary(20.0)
+            .with_nodes(nodes)
+            .with_packets(packets)
+            .with_positions(positions);
+        cfg.name = format!("multicell-{nodes}");
+        cfg.bounds = Bounds::new(MULTICELL_CELLS as f64 * pitch - MULTICELL_GAP_M, cell_h);
+        cfg
+    }
+
     /// Override the packet count.
     pub fn with_packets(mut self, packets: u64) -> Self {
         self.packets = packets;
@@ -271,8 +322,9 @@ impl ScenarioConfig {
         self
     }
 
-    /// Partition the world into `shards` spatial stripes for the sharded
-    /// engine. Reports stay bit-identical for every value.
+    /// Let the sharded engine run up to `shards` groups of radio
+    /// components concurrently. Reports stay bit-identical for every
+    /// value.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self

@@ -1,50 +1,50 @@
 //! The sharded conservative-sync engine (DESIGN.md §10).
 //!
-//! The plane is cut into `cfg.shards` equal-width stripes along x; every
-//! channel slot (protocol node or jammer) belongs to the stripe containing
-//! its initial position. Each replication then runs as one or more *shard
-//! groups*:
+//! A replication whose radio graph falls apart into several connected
+//! components runs as one or more *shard groups* on parallel threads:
 //!
-//! * Events live in a [`ShardedQueue`]: one sub-queue per shard, a shared
-//!   tie-break sequence counter, pops in global `(time, seq)` order. The
-//!   partition changes where events are stored, never when they dispatch,
-//!   so any shard count is bit-identical to the flat-queue oracle by
-//!   construction.
-//! * Shards whose node populations are radio-isolated from each other —
-//!   no cross-stripe pair within `range_m` — can never exchange events,
-//!   because every event the engine generates targets either its emitting
-//!   node or a receiver within radio range. The coupling analysis
-//!   ([`coupled_groups`]) unions shards bridged by an in-range pair; the
-//!   resulting connected components are *causally closed* and run
-//!   concurrently on scoped per-group runners, one OS thread each.
-//! * A group's runner is the oracle restricted to the group: it builds the
-//!   full-width world (so global node indexing, RNG stream derivation and
-//!   the spatial grid are untouched) but seeds and dispatches only owned
-//!   slots. Since the serial oracle's execution restricted to a causally
-//!   closed subset *is* that subset's own execution (FIFO tie-breaks are
-//!   preserved on subsequences), each group reproduces its slice of the
-//!   oracle run exactly.
+//! * **Groups are radio components.** Every event the engine generates
+//!   targets either its emitting slot or a receiver within radio range,
+//!   so a connected component of the in-range graph over the channel
+//!   slots (protocol nodes and jammers) is *causally closed*: no event
+//!   raised inside it can reach a slot outside. `radio_components`
+//!   finds the components with a union-find over an x-sweep of the
+//!   initial positions.
+//! * **Components are packed into at most `cfg.shards` bins** by
+//!   longest-processing-time first (`pack_bins`), weighed by a
+//!   deterministic cost estimate computed from the scenario alone
+//!   (`component_costs`). The estimate only places work; results never
+//!   depend on it, so it draws from no RNG stream.
+//! * **Each bin is one group**: one full-width [`Runner`] world (global
+//!   node indexing, RNG stream derivation and the spatial grid untouched)
+//!   on its own thread. The group runs its components back to back, each
+//!   restricted to its own slots on a fresh flat queue
+//!   (`Runner::begin_part`), so only one component's node state is hot
+//!   in cache at a time. The serial oracle's execution restricted to a
+//!   causally closed subset *is* that subset's own execution, because
+//!   FIFO `(time, seq)` tie-breaks are preserved on subsequences.
 //! * The one shared RNG stream crossing groups — the beacon scheduler —
 //!   is closed under the beacon subsystem, so its draws are pre-played
-//!   into a [`BeaconTimetable`] that every group reads instead of a live
+//!   into a `BeaconTimetable` that every group reads instead of a live
 //!   stream.
 //!
-//! Scenarios where causal closure cannot be proven cheaply fall back to a
-//! single group: mobility (nodes roam the whole plane) or a positive BER
-//! (the channel-noise draws are globally sequenced). A single group still
-//! exercises the sharded queue, the router and the timetable —
-//! `shards = 1` *is* the oracle algorithm — it just runs
-//! serially-canonically on one thread. An attached tracer is *not* a
-//! fallback: each traced group buffers its emissions with a per-dispatch
-//! log, and [`merge_traces`] interleaves the buffers back into the
-//! oracle's global `(time, seq)` order before the user's tracer sees them
-//! (byte-identical JSONL, pinned by `tests/golden_traces.rs`).
+//! **One bin means the flat runner**, with no scope or timetable: a
+//! single component, `shards = 1`, or a scenario where causal closure
+//! cannot be proven cheaply — mobility (nodes roam the whole plane) or a
+//! positive BER (the channel-noise draws are globally sequenced). An
+//! attached tracer is *not* a fallback: each traced component buffers its
+//! emissions with a per-dispatch log, and `merge_traces` interleaves
+//! the buffers back into the oracle's global `(time, seq)` order before
+//! the user's tracer sees them (byte-identical JSONL, pinned by
+//! `tests/golden_traces.rs`).
 //!
 //! Per-group results merge back losslessly: per-node state is taken from
 //! each node's owner group in global node order (float accumulation order
 //! is part of bit-identity), channel/fault tallies are sums, and the final
 //! clock is the max. `tests/shard_equivalence.rs` holds the whole stack to
-//! `RunReport` bit-identity against [`run_replication`] at 2/4/8 shards.
+//! `RunReport` bit-identity against [`run_replication`] at 1/2/4/8 shards.
+//!
+//! [`run_replication`]: crate::run_replication
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -55,57 +55,37 @@ use rmac_faults::FaultPlan;
 use rmac_metrics::RunReport;
 use rmac_mobility::{MobilityKind, Pos};
 use rmac_phy::FrameTallies;
-use rmac_sim::{CalendarQueue, EventQueue, SeqQueue, ShardedQueue, SimRng, SimTime};
+use rmac_sim::{CalendarQueue, EventQueue, SimQueue, SimRng, SimTime};
 
 use crate::config::{Protocol, QueueKind, ScenarioConfig};
 use crate::trace::{TraceEvent, Tracer};
 use crate::world::{
-    build_motions, collect_report, seed_slots, BeaconPlan, DispatchRec, Ev, Harvest, Runner, Scope,
+    build_motions, collect_report, seed_slots, BeaconPlan, DispatchRec, Ev, Harvest, Runner,
     BEACON_JITTER_NS,
 };
 
-/// Guard margin on the radio range when testing whether two stripes are
-/// coupled. Coupling strictly more than the channel does is always safe
-/// (it only costs parallelism); this absorbs any floating-point slack in
-/// the channel's own `dist ≤ range` comparison.
+/// Guard margin on the radio range when testing whether two slots are
+/// linked. Linking strictly more than the channel does is always safe (it
+/// only costs parallelism); this absorbs any floating-point slack in the
+/// channel's own `dist ≤ range` comparison.
 const RANGE_EPS: f64 = 1e-6;
 
-/// Spatial partition of channel slots into equal-width stripes along x.
-pub(crate) struct ShardMap {
-    /// Per channel slot (protocol nodes, then jammers): owning shard.
-    pub(crate) owner: Vec<usize>,
+/// The radio components of the channel slots at their initial positions.
+pub(crate) struct Components {
+    /// Per channel slot (protocol nodes, then jammers): its component,
+    /// numbered in order of each component's smallest slot.
+    pub(crate) of_slot: Vec<usize>,
+    /// Per channel slot: in-range partner slots.
+    pub(crate) degree: Vec<u32>,
+    /// Number of components.
+    pub(crate) count: usize,
 }
 
-impl ShardMap {
-    /// Assign each slot to the stripe containing its position:
-    /// `floor(x / (width / shards))`, clamped into range so positions on
-    /// (or beyond) the right edge land in the last stripe.
-    pub(crate) fn stripes(positions: &[Pos], width: f64, shards: usize) -> ShardMap {
-        let stripe_w = width / shards as f64;
-        let owner = positions
-            .iter()
-            .map(|p| {
-                if stripe_w > 0.0 && p.x.is_finite() {
-                    ((p.x / stripe_w).floor() as i64).clamp(0, shards as i64 - 1) as usize
-                } else {
-                    0
-                }
-            })
-            .collect();
-        ShardMap { owner }
-    }
-}
-
-/// Union shards bridged by any cross-stripe slot pair within radio range
-/// and return the connected components (each a sorted list of shard ids,
-/// components ordered by their smallest member). Components are causally
-/// closed: no event generated inside one can target a slot in another.
-pub(crate) fn coupled_groups(
-    positions: &[Pos],
-    owner: &[usize],
-    shards: usize,
-    range_m: f64,
-) -> Vec<Vec<usize>> {
+/// Union every slot pair within radio range and return the connected
+/// components. A plane sweep along x bounds the pair checks: only slots
+/// with `|dx| ≤ range` can link, so a sliding window keeps the scan
+/// near-linear for spread-out layouts.
+pub(crate) fn radio_components(positions: &[Pos], range_m: f64) -> Components {
     fn find(uf: &mut [usize], mut i: usize) -> usize {
         while uf[i] != i {
             uf[i] = uf[uf[i]];
@@ -113,11 +93,11 @@ pub(crate) fn coupled_groups(
         }
         i
     }
-    let mut uf: Vec<usize> = (0..shards).collect();
+    let n = positions.len();
+    let mut uf: Vec<usize> = (0..n).collect();
+    let mut degree = vec![0u32; n];
     let reach = range_m + RANGE_EPS;
-    // Plane sweep along x: only pairs with |dx| ≤ reach can couple, so a
-    // sliding window keeps the check near-linear for striped layouts.
-    let mut order: Vec<usize> = (0..positions.len()).collect();
+    let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| {
         positions[a]
             .x
@@ -126,35 +106,84 @@ pub(crate) fn coupled_groups(
             .then(a.cmp(&b))
     });
     let mut lo = 0usize;
-    for k in 0..order.len() {
+    for k in 0..n {
         let i = order[k];
         while positions[order[lo]].x < positions[i].x - reach {
             lo += 1;
         }
         for &j in &order[lo..k] {
-            if owner[i] == owner[j] {
-                continue;
-            }
-            let (ri, rj) = (find(&mut uf, owner[i]), find(&mut uf, owner[j]));
-            if ri == rj {
-                continue;
-            }
             let dx = positions[i].x - positions[j].x;
             let dy = positions[i].y - positions[j].y;
             if dx * dx + dy * dy <= reach * reach {
-                // Union to the smaller root so components keep their
-                // smallest shard id as representative.
-                uf[ri.max(rj)] = ri.min(rj);
+                degree[i] += 1;
+                degree[j] += 1;
+                let (ri, rj) = (find(&mut uf, i), find(&mut uf, j));
+                uf[ri] = rj;
             }
         }
     }
-    let mut components: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    for s in 0..shards {
-        let r = find(&mut uf, s);
-        components[r].push(s);
+    let mut id_of_root = vec![usize::MAX; n];
+    let mut count = 0;
+    let of_slot = (0..n)
+        .map(|i| {
+            let r = find(&mut uf, i);
+            if id_of_root[r] == usize::MAX {
+                id_of_root[r] = count;
+                count += 1;
+            }
+            id_of_root[r]
+        })
+        .collect();
+    Components {
+        of_slot,
+        degree,
+        count,
     }
-    components.retain(|g| !g.is_empty());
-    components
+}
+
+/// Estimated dispatch cost of each component, from the scenario alone:
+/// `Σ (degree + 1) × (beacons per node + [source component] × packets ×
+/// frames per packet)` over its protocol nodes. Every transmission costs
+/// its sender plus one reception per in-range partner; every node beacons
+/// `end_time / beacon_period` times, and every node in the source's
+/// component forwards (or receives) each packet. Jammer slots carry no
+/// protocol traffic and weigh nothing.
+pub(crate) fn component_costs(
+    cfg: &ScenarioConfig,
+    protocol: Protocol,
+    comps: &Components,
+) -> Vec<u64> {
+    let beacons = cfg.end_time().nanos() / cfg.beacon_period.nanos().max(1);
+    let data = cfg.packets * protocol.frames_per_packet();
+    let source = comps.of_slot[0];
+    let mut cost = vec![0u64; comps.count];
+    for i in 0..cfg.nodes {
+        let c = comps.of_slot[i];
+        let per_tx = beacons + if c == source { data } else { 0 };
+        cost[c] += (u64::from(comps.degree[i]) + 1) * per_tx;
+    }
+    cost
+}
+
+/// Longest-processing-time-first packing: components in descending cost
+/// order (ties by component id) each go to the bin with the least load so
+/// far (ties to the bin holding fewer components, then the lowest index,
+/// so no bin stays empty). Returns the component ids of each of the
+/// `min(bins, components)` bins; bin 0 receives the heaviest component.
+pub(crate) fn pack_bins(costs: &[u64], bins: usize) -> Vec<Vec<usize>> {
+    let nbins = bins.min(costs.len()).max(1);
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by_key(|&c| (std::cmp::Reverse(costs[c]), c));
+    let mut packed: Vec<Vec<usize>> = vec![Vec::new(); nbins];
+    let mut load = vec![0u64; nbins];
+    for c in order {
+        let b = (0..nbins)
+            .min_by_key(|&b| (load[b], packed[b].len(), b))
+            .expect("at least one bin");
+        packed[b].push(c);
+        load[b] += costs[c];
+    }
+    packed
 }
 
 /// The beacon schedule, pre-played from the scheduler RNG stream.
@@ -212,18 +241,17 @@ impl BeaconTimetable {
 /// Scheduling statistics of one sharded replication.
 #[derive(Clone, Debug)]
 pub struct ShardStats {
-    /// Configured shard count.
+    /// Configured cap on concurrent groups (`cfg.shards`).
     pub shards: usize,
-    /// Causally closed shard groups the run decomposed into (1 when the
-    /// scenario forces serial execution).
+    /// Shard groups the run executed (1 when it routed to the flat
+    /// runner).
     pub groups: usize,
-    /// Events pushed to a different shard than the one dispatching — the
-    /// cross-shard bus traffic, summed over groups.
+    /// Events pushed across groups. Always 0: groups are causally closed
+    /// bins of radio components, so no event ever leaves its group. Kept
+    /// as a field because benchmark rows report it.
     pub cross_pushes: u64,
-    /// Events that stayed on their dispatching shard, summed over groups.
-    pub local_pushes: u64,
-    /// Per-group scheduling breakdown, in group order (groups are ordered
-    /// by their smallest shard id). The shard-balance raw material for
+    /// Per-group scheduling breakdown, in group order (group 0 holds the
+    /// heaviest component). The shard-balance raw material for
     /// `obs_report` ([`rmac_obs::render_shard_balance`]).
     pub group_stats: Vec<GroupStats>,
 }
@@ -234,10 +262,10 @@ impl ShardStats {
         self.group_stats
             .iter()
             .map(|g| rmac_obs::ShardGroupRow {
-                shards: g.shards.clone(),
+                nodes: g.nodes,
+                components: g.components,
+                est_share: g.est_share,
                 events: g.events,
-                local_pushes: g.local_pushes,
-                cross_pushes: g.cross_pushes,
                 wall_ns: g.wall_ns,
             })
             .collect()
@@ -247,40 +275,54 @@ impl ShardStats {
 /// One shard group's scheduling statistics.
 #[derive(Clone, Debug)]
 pub struct GroupStats {
-    /// The shard ids the group owns, sorted ascending.
-    pub shards: Vec<usize>,
+    /// Protocol nodes the group owns.
+    pub nodes: usize,
+    /// Radio components packed into the group (1 when the run routed to
+    /// the flat runner: one component, mobility, BER > 0 or
+    /// `shards = 1`).
+    pub components: usize,
+    /// The group's share of the estimated cost of the whole run
+    /// (`component_costs`), for comparison with its actual event share.
+    pub est_share: f64,
     /// Events the group dispatched.
     pub events: u64,
-    /// Pushes that stayed on their dispatching shard.
-    pub local_pushes: u64,
-    /// Pushes routed to a different shard of the same group.
-    pub cross_pushes: u64,
     /// Wall-clock time the group's worker spent on it (assembly + run).
     /// Wall readings live outside the determinism domain: they feed the
     /// balance table only, never a `RunReport` or the campaign store.
     pub wall_ns: u64,
 }
 
-/// A shard group's buffered trace: every event the group emitted (in the
-/// group's own dispatch order) plus the per-dispatch log that lets the
-/// merge interleave buffers back into the oracle's global order.
+/// One part's buffered trace: every event the part emitted (in its own
+/// dispatch order) plus the per-dispatch log that lets the merge
+/// interleave buffers back into the oracle's global order.
 struct TraceCapture {
     events: Vec<TraceEvent>,
     log: Vec<DispatchRec>,
 }
 
+/// One bin of the packing: the components a group runs and its share of
+/// the estimated cost.
+struct Bin {
+    /// Per component in the bin: its slot mask (owned channel slots).
+    parts: Vec<Vec<bool>>,
+    /// Per channel slot: owned by any of the bin's components?
+    owned: Vec<bool>,
+    nodes: usize,
+    est_share: f64,
+}
+
 /// Result of one shard group's run.
 struct GroupRun {
     harvest: Harvest,
-    check: Option<CheckReport>,
-    cross_pushes: u64,
-    local_pushes: u64,
+    /// Per part, in run order: its conformance report when collected.
+    checks: Vec<CheckReport>,
     wall_ns: u64,
-    trace: Option<TraceCapture>,
+    /// Per part, in run order: its buffered trace when captured.
+    traces: Vec<TraceCapture>,
 }
 
 /// A replication driven by the sharded engine. Construction mirrors
-/// [`Runner`]; `cfg.shards` picks the partition width.
+/// [`Runner`]; `cfg.shards` caps the number of concurrent groups.
 pub struct ShardedRunner {
     cfg: ScenarioConfig,
     protocol: Protocol,
@@ -291,6 +333,8 @@ pub struct ShardedRunner {
 
 impl ShardedRunner {
     /// Build a sharded replication from a scenario, protocol and seed.
+    /// Only copies the scenario: the component analysis runs with the
+    /// replication.
     pub fn new(cfg: &ScenarioConfig, protocol: Protocol, seed: u64) -> ShardedRunner {
         ShardedRunner::with_faults(cfg, protocol, seed, &FaultPlan::none())
     }
@@ -336,16 +380,14 @@ impl ShardedRunner {
     /// Run with the conformance checker attached (regardless of
     /// `cfg.check`) and return the merged per-group conformance report
     /// instead of panicking — the fuzzer's sharded entry point. Violations
-    /// are listed group-by-group (event order within each group).
+    /// are listed component by component (event order within each).
     pub fn run_checked(self) -> (RunReport, CheckReport) {
         let (report, check, _) = self.execute(true);
         (report, check.expect("checked run lost its report"))
     }
 
-    /// Dispatch on `cfg.queue`: the sharded engine runs its per-group
-    /// sub-queues on either the calendar queue or the heap oracle, with
-    /// bit-identical results (the shared front-end seq counter pins the
-    /// global pop order regardless of sub-queue kind).
+    /// Dispatch on `cfg.queue`: every component runs on a flat queue of
+    /// the configured kind, with bit-identical results either way.
     fn execute(self, collect_check: bool) -> (RunReport, Option<CheckReport>, ShardStats) {
         match self.cfg.queue {
             QueueKind::Calendar => self.execute_with::<CalendarQueue<Ev>>(collect_check),
@@ -353,140 +395,176 @@ impl ShardedRunner {
         }
     }
 
-    fn execute_with<SQ: SeqQueue<Ev>>(
+    /// Pack the scenario's radio components into at most `cfg.shards`
+    /// bins. Empty when the scenario must run flat: `shards = 1`, mobility
+    /// (nodes roam across components) or a positive BER (the shared
+    /// channel-noise stream sequences every reception).
+    fn bins(&self) -> Vec<Bin> {
+        let shards = self.cfg.shards.max(1);
+        let frozen =
+            matches!(self.cfg.mobility, MobilityKind::Stationary) && self.cfg.ber_per_bit == 0.0;
+        if shards == 1 || !frozen {
+            return Vec::new();
+        }
+        let master = SimRng::new(self.seed);
+        let positions: Vec<Pos> = build_motions(&self.cfg, &self.plan, &master)
+            .iter_mut()
+            .map(|m| m.position_at(SimTime::ZERO))
+            .collect();
+        let comps = radio_components(&positions, self.cfg.range_m);
+        let costs = component_costs(&self.cfg, self.protocol, &comps);
+        let total: u64 = costs.iter().sum();
+        let packed = pack_bins(&costs, shards);
+        let nbins = packed.len();
+        packed
+            .into_iter()
+            .map(|members| {
+                let parts: Vec<Vec<bool>> = members
+                    .iter()
+                    .map(|&c| comps.of_slot.iter().map(|&k| k == c).collect())
+                    .collect();
+                let owned: Vec<bool> = (0..comps.of_slot.len())
+                    .map(|i| parts.iter().any(|p| p[i]))
+                    .collect();
+                let cost: u64 = members.iter().map(|&c| costs[c]).sum();
+                Bin {
+                    nodes: owned[..self.cfg.nodes].iter().filter(|&&o| o).count(),
+                    parts,
+                    owned,
+                    est_share: if total == 0 {
+                        1.0 / nbins as f64
+                    } else {
+                        cost as f64 / total as f64
+                    },
+                }
+            })
+            .collect()
+    }
+
+    fn execute_with<Q: SimQueue<Ev>>(
         mut self,
         collect_check: bool,
     ) -> (RunReport, Option<CheckReport>, ShardStats) {
         let shards = self.cfg.shards.max(1);
-        let master = SimRng::new(self.seed);
-        let mut motions = build_motions(&self.cfg, &self.plan, &master);
-        let positions: Vec<Pos> = motions
-            .iter_mut()
-            .map(|m| m.position_at(SimTime::ZERO))
-            .collect();
-        let map = ShardMap::stripes(&positions, self.cfg.bounds.width, shards);
-        // Causal closure is only provable for frozen geometry and a noise-
-        // free channel: mobility lets nodes roam across stripes, and a
-        // positive BER sequences the shared channel-noise stream over all
-        // receptions. An attached tracer no longer forces a single group:
-        // multi-group runs buffer per-group emissions and merge them back
-        // into the oracle's order (see the trace-merge section below).
-        let parallel_ok =
-            matches!(self.cfg.mobility, MobilityKind::Stationary) && self.cfg.ber_per_bit == 0.0;
-        let groups: Vec<Vec<usize>> = if parallel_ok {
-            coupled_groups(&positions, &map.owner, shards, self.cfg.range_m)
-        } else {
-            vec![(0..shards).collect()]
-        };
-        let times = Arc::new(BeaconTimetable::build(
-            self.cfg.nodes,
-            self.cfg.beacon_period,
-            self.cfg.end_time(),
-            &mut master.split(3),
-        ));
+        let bins = self.bins();
         let cfg = &self.cfg;
         let plan = &self.plan;
         let protocol = self.protocol;
         let seed = self.seed;
-        let nodes = cfg.nodes;
-        let owner = &map.owner;
-        let tracer = self.tracer.take();
+        let mut tracer = self.tracer.take();
 
-        let run_group = |group: &[usize], tracer: Option<Tracer>, capture: bool| -> GroupRun {
+        if bins.len() <= 1 {
+            // One bin: the flat runner, streaming straight into the
+            // user's tracer.
             let started = std::time::Instant::now();
-            // Local (sub-queue) index of each shard in this group.
-            let mut local_of = vec![usize::MAX; shards];
-            for (li, &s) in group.iter().enumerate() {
-                local_of[s] = li;
-            }
-            let owned: Vec<bool> = owner.iter().map(|&s| local_of[s] != usize::MAX).collect();
-            let owner = owner.clone();
-            let router = move |ev: &Ev| local_of[owner[ev.home_slot(nodes)]];
-            let per_shard = group.len().max(1);
-            let mut runner: Runner<ShardedQueue<Ev, SQ>> = Runner::assemble(
-                cfg,
-                protocol,
-                seed,
-                plan,
-                |cap| ShardedQueue::new(per_shard, cap / per_shard + 1, Box::new(router)),
-                Some(Scope { owned }),
-                Some(BeaconPlan::new(Arc::clone(&times))),
-            );
+            let mut runner: Runner<Q> = Runner::assemble(cfg, protocol, seed, plan, None);
             if let Some(t) = tracer {
                 runner.set_tracer(t);
             }
             if collect_check {
                 runner.ensure_check();
             }
-            // With multiple traced groups, the group buffers its emissions
-            // and logs each dispatch so the merge below can restore the
-            // oracle's global emission order.
-            let log = if capture {
-                let buf: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
-                let sink = Arc::clone(&buf);
-                runner.set_tracer(Box::new(move |e| {
-                    sink.lock().expect("trace buffer poisoned").push(e.clone())
-                }));
-                let log = runner.run_loop_logged(&buf);
-                Some((buf, log))
-            } else {
-                runner.run_loop();
-                None
-            };
+            runner.run_loop();
             let check = if collect_check {
                 runner.finish_check()
             } else {
                 runner.assert_check_clean();
                 None
             };
-            let (cross_pushes, local_pushes) = runner.bus_stats();
             let harvest = runner.harvest();
-            let trace = log.map(|(buf, log)| TraceCapture {
-                events: Arc::try_unwrap(buf)
-                    .expect("trace buffer still shared after the run")
-                    .into_inner()
-                    .expect("trace buffer poisoned"),
-                log,
-            });
+            let stats = ShardStats {
+                shards,
+                groups: 1,
+                cross_pushes: 0,
+                group_stats: vec![GroupStats {
+                    nodes: cfg.nodes,
+                    components: 1,
+                    est_share: 1.0,
+                    events: harvest.events,
+                    wall_ns: started.elapsed().as_nanos() as u64,
+                }],
+            };
+            let check = collect_check.then(|| merge_checks(check.into_iter().collect()));
+            return (collect_report(cfg, protocol, seed, &harvest), check, stats);
+        }
+
+        // Groups read the pre-played beacon schedule instead of a live
+        // scheduler stream.
+        let times = Arc::new(BeaconTimetable::build(
+            cfg.nodes,
+            cfg.beacon_period,
+            cfg.end_time(),
+            &mut SimRng::new(seed).split(3),
+        ));
+        let capture = tracer.is_some();
+        // One world per group; its components run back to back, each on a
+        // fresh queue, so only one component's node state is hot at a
+        // time. Traced parts buffer their emissions and log each dispatch
+        // so the merge below can restore the oracle's global order.
+        let run_group = |bin: &Bin| -> GroupRun {
+            let started = std::time::Instant::now();
+            let mut runner: Runner<Q> = Runner::assemble(
+                cfg,
+                protocol,
+                seed,
+                plan,
+                Some(BeaconPlan::new(Arc::clone(&times))),
+            );
+            let buf: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
+            if capture {
+                let sink = Arc::clone(&buf);
+                runner.set_tracer(Box::new(move |e| {
+                    sink.lock().expect("trace buffer poisoned").push(e.clone())
+                }));
+            }
+            let mut checks = Vec::new();
+            let mut traces = Vec::new();
+            for owned in &bin.parts {
+                runner.begin_part(owned.clone());
+                if collect_check || cfg.check {
+                    runner.ensure_check();
+                }
+                if capture {
+                    let log = runner.run_loop_logged(&buf);
+                    let events = std::mem::take(&mut *buf.lock().expect("trace buffer poisoned"));
+                    traces.push(TraceCapture { events, log });
+                } else {
+                    runner.run_loop();
+                }
+                if collect_check {
+                    checks.extend(runner.finish_check());
+                } else {
+                    runner.assert_check_clean();
+                }
+            }
             GroupRun {
-                harvest,
-                check,
-                cross_pushes,
-                local_pushes,
+                harvest: runner.harvest(),
+                checks,
                 wall_ns: started.elapsed().as_nanos() as u64,
-                trace,
+                traces,
             }
         };
 
         // One worker per available core, capped by the group count.
         // Oversubscribing cores would only interleave the groups and
-        // thrash their working sets against each other; on a single-core
-        // host the groups therefore run back to back, and the speedup
-        // over the oracle is pure working-set reduction (smaller event
-        // heap, smaller live state per group).
+        // thrash their working sets against each other. Workers pull bins
+        // in order, so the heaviest (bin 0) starts first.
         let workers = thread::available_parallelism()
             .map_or(1, |n| n.get())
-            .min(groups.len());
-        // A single group streams straight into the user's tracer (the
-        // group's dispatch order *is* the oracle's); multiple traced
-        // groups run in capture mode and merge afterwards.
-        let capture = tracer.is_some() && groups.len() > 1;
-        let mut tracer = tracer;
-        let mut results: Vec<GroupRun> = if groups.len() == 1 {
-            vec![run_group(&groups[0], tracer.take(), false)]
-        } else if workers <= 1 {
-            groups.iter().map(|g| run_group(g, None, capture)).collect()
+            .min(bins.len());
+        let mut results: Vec<GroupRun> = if workers <= 1 {
+            bins.iter().map(run_group).collect()
         } else {
             let next = AtomicUsize::new(0);
             let slots: Vec<Mutex<Option<GroupRun>>> =
-                groups.iter().map(|_| Mutex::new(None)).collect();
+                bins.iter().map(|_| Mutex::new(None)).collect();
             thread::scope(|s| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         s.spawn(|| loop {
                             let gi = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(g) = groups.get(gi) else { break };
-                            let run = run_group(g, None, capture);
+                            let Some(b) = bins.get(gi) else { break };
+                            let run = run_group(b);
                             *slots[gi].lock().expect("slot poisoned") = Some(run);
                         })
                     })
@@ -509,47 +587,44 @@ impl ShardedRunner {
                 .collect()
         };
 
-        let mut stats = ShardStats {
+        let stats = ShardStats {
             shards,
-            groups: groups.len(),
+            groups: bins.len(),
             cross_pushes: 0,
-            local_pushes: 0,
             group_stats: results
                 .iter()
-                .zip(&groups)
-                .map(|(r, g)| GroupStats {
-                    shards: g.clone(),
+                .zip(&bins)
+                .map(|(r, b)| GroupStats {
+                    nodes: b.nodes,
+                    components: b.parts.len(),
+                    est_share: b.est_share,
                     events: r.harvest.events,
-                    local_pushes: r.local_pushes,
-                    cross_pushes: r.cross_pushes,
                     wall_ns: r.wall_ns,
                 })
                 .collect(),
         };
-        if capture {
-            let tracer = tracer.as_mut().expect("capture without a tracer");
+        if let Some(tracer) = tracer.as_mut() {
+            let parts: Vec<&[bool]> = bins
+                .iter()
+                .flat_map(|b| b.parts.iter().map(Vec::as_slice))
+                .collect();
             let captures: Vec<TraceCapture> = results
                 .iter_mut()
-                .map(|r| r.trace.take().expect("captured group lost its trace"))
+                .flat_map(|r| std::mem::take(&mut r.traces))
                 .collect();
-            merge_traces(tracer, &groups, &map.owner, cfg, plan, captures);
+            merge_traces(tracer, &parts, cfg, plan, captures);
         }
         let mut results = results.into_iter();
         let first = results.next().expect("at least one shard group");
-        stats.cross_pushes += first.cross_pushes;
-        stats.local_pushes += first.local_pushes;
         let mut merged = first.harvest;
-        let mut checks: Vec<CheckReport> = first.check.into_iter().collect();
-        for (gi, r) in results.enumerate() {
-            let group = &groups[gi + 1];
-            stats.cross_pushes += r.cross_pushes;
-            stats.local_pushes += r.local_pushes;
+        let mut checks = first.checks;
+        for (r, bin) in results.zip(&bins[1..]) {
             let h = r.harvest;
             // Per-node state comes from each node's owner group; the merge
             // walks global node order so downstream float accumulation in
             // `collect_report` sums in the oracle's order.
             for (i, (net, ctr)) in h.nets.into_iter().zip(h.counters).enumerate() {
-                if group.contains(&map.owner[i]) {
+                if bin.owned[i] {
                     merged.nets[i] = net;
                     merged.counters[i] = ctr;
                 }
@@ -561,86 +636,81 @@ impl ShardedRunner {
             merged.packets_sent += h.packets_sent;
             merged.crashes += h.crashes;
             merged.jam_bursts += h.jam_bursts;
-            checks.extend(r.check);
+            checks.extend(r.checks);
         }
-        let report = collect_report(&self.cfg, protocol, seed, &merged);
+        let report = collect_report(cfg, protocol, seed, &merged);
         let check = collect_check.then(|| merge_checks(checks));
         (report, check, stats)
     }
 }
 
-/// Interleave per-group trace buffers back into the oracle's global
-/// emission order and replay them through the user's tracer.
+/// Interleave per-part trace buffers (one per component run) back into
+/// the oracle's global emission order and replay them through the user's
+/// tracer.
 ///
 /// The oracle dispatches events in global `(time, seq)` order, where `seq`
-/// is the push counter at push time; each group dispatched its own slice
-/// of that order, tagging every dispatch with the *group-local* push seq
+/// is the push counter at push time; each part dispatched its own slice
+/// of that order, tagging every dispatch with the *part-local* push seq
 /// of the popped event ([`DispatchRec`]). The reconstruction recovers each
 /// local seq's global rank by replaying the push arithmetic:
 ///
 /// 1. Seed pushes: the oracle seeds in one fixed enumeration
-///    ([`seed_slots`]) and a scoped group seeds exactly its owned slots in
-///    the same relative order, so a group's k-th seed push has the global
-///    rank of the k-th owned slot in the enumeration.
-/// 2. Dispatch pushes: within one dispatch the group performs the same
-///    pushes as the oracle (causal closure keeps every push in-group), so
+///    ([`seed_slots`]) and a part seeds exactly its owned slots in the
+///    same relative order, so a part's k-th seed push has the global rank
+///    of the k-th owned slot in the enumeration.
+/// 2. Dispatch pushes: within one dispatch the part performs the same
+///    pushes as the oracle (causal closure keeps every push in-part), so
 ///    walking dispatches in global order and handing out consecutive
 ///    global ranks to each dispatch's pushes reproduces the oracle's
 ///    assignment exactly.
 ///
-/// The walk itself is the standard k-way merge: repeatedly take the group
+/// The walk itself is the standard k-way merge: repeatedly take the part
 /// whose next dispatch record has the smallest `(time, global rank)` key.
 /// A popped event's rank is always already assigned when its record
 /// reaches the head — its push belongs to an earlier record of the same
-/// group (or to the seeds), and records within a group are consumed in
+/// part (or to the seeds), and records within a part are consumed in
 /// order.
 fn merge_traces(
     tracer: &mut Tracer,
-    groups: &[Vec<usize>],
-    owner: &[usize],
+    parts: &[&[bool]],
     cfg: &ScenarioConfig,
     plan: &FaultPlan,
     captures: Vec<TraceCapture>,
 ) {
-    // shard id -> group index (groups partition all shards, including
-    // stripes that happen to own no slot).
-    let nshards = groups.iter().flatten().copied().max().map_or(1, |m| m + 1);
-    let mut group_of_shard = vec![usize::MAX; nshards];
-    for (gi, g) in groups.iter().enumerate() {
-        for &s in g {
-            group_of_shard[s] = gi;
-        }
-    }
-    // Per group: local seq -> global rank, seeded from the enumeration.
+    // Per part: local seq -> global rank, seeded from the enumeration.
     let seeds = seed_slots(cfg, plan);
-    let mut rank_of: Vec<Vec<u64>> = vec![Vec::new(); groups.len()];
+    let mut rank_of: Vec<Vec<u64>> = vec![Vec::new(); parts.len()];
     for (rank, &slot) in seeds.iter().enumerate() {
-        rank_of[group_of_shard[owner[slot]]].push(rank as u64);
+        let pi = parts
+            .iter()
+            .position(|p| p[slot])
+            .expect("parts partition every slot");
+        rank_of[pi].push(rank as u64);
     }
     let mut next_rank = seeds.len() as u64;
-    let mut cursor = vec![0usize; groups.len()]; // next dispatch record
-    let mut emitted = vec![0usize; groups.len()]; // next buffered trace event
+    let mut cursor = vec![0usize; parts.len()]; // next dispatch record
+    let mut emitted = vec![0usize; parts.len()]; // next buffered trace event
     loop {
         let mut best: Option<(SimTime, u64, usize)> = None;
-        for (gi, cap) in captures.iter().enumerate() {
-            if let Some(rec) = cap.log.get(cursor[gi]) {
-                let rank = rank_of[gi][rec.seq as usize];
+        for (pi, cap) in captures.iter().enumerate() {
+            if let Some(rec) = cap.log.get(cursor[pi]) {
+                let rank = rank_of[pi][rec.seq as usize];
                 if best.is_none_or(|(bt, br, _)| (rec.t, rank) < (bt, br)) {
-                    best = Some((rec.t, rank, gi));
+                    best = Some((rec.t, rank, pi));
                 }
             }
         }
-        let Some((_, _, gi)) = best else { break };
-        let rec = captures[gi].log[cursor[gi]];
-        cursor[gi] += 1;
+        let Some((_, _, pi)) = best else { break };
+        let rec = captures[pi].log[cursor[pi]];
+        cursor[pi] += 1;
         for _ in 0..rec.pushes {
-            rank_of[gi].push(next_rank);
+            rank_of[pi].push(next_rank);
             next_rank += 1;
         }
-        for ev in &captures[gi].events[emitted[gi]..emitted[gi] + rec.traces as usize] {
+        for ev in &captures[pi].events[emitted[pi]..emitted[pi] + rec.traces as usize] {
             tracer(ev);
         }
-        emitted[gi] += rec.traces as usize;
+        emitted[pi] += rec.traces as usize;
     }
 }
 
@@ -716,60 +786,61 @@ mod tests {
     use crate::world::run_replication;
 
     #[test]
-    fn stripes_partition_by_x() {
-        let pos = [
-            Pos::new(10.0, 5.0),
-            Pos::new(240.0, 5.0),
-            Pos::new(499.0, 5.0),
-            Pos::new(250.0, 299.0),
-        ];
-        let map = ShardMap::stripes(&pos, 500.0, 2);
-        assert_eq!(map.owner, vec![0, 0, 1, 1]);
-        // Positions on/past the right edge clamp into the last stripe.
-        let map = ShardMap::stripes(&[Pos::new(500.0, 0.0), Pos::new(-3.0, 0.0)], 500.0, 4);
-        assert_eq!(map.owner, vec![3, 0]);
-    }
-
-    #[test]
-    fn isolated_stripes_form_separate_groups() {
-        // Two clusters 300 m apart with a 75 m radio: the stripes are
-        // radio-isolated and decompose into two groups.
+    fn isolated_clusters_form_separate_components() {
+        // Two clusters 380 m apart with a 75 m radio.
         let pos = [
             Pos::new(50.0, 50.0),
             Pos::new(60.0, 50.0),
             Pos::new(440.0, 50.0),
             Pos::new(450.0, 50.0),
         ];
-        let map = ShardMap::stripes(&pos, 500.0, 2);
-        let groups = coupled_groups(&pos, &map.owner, 2, 75.0);
-        assert_eq!(groups, vec![vec![0], vec![1]]);
+        let comps = radio_components(&pos, 75.0);
+        assert_eq!(comps.count, 2);
+        assert_eq!(comps.of_slot, vec![0, 0, 1, 1]);
+        assert_eq!(comps.degree, vec![1, 1, 1, 1]);
     }
 
     #[test]
-    fn cross_stripe_pair_in_range_couples_shards() {
-        // Nodes at 240 m and 260 m straddle the 250 m stripe boundary
-        // within a 75 m radio range: the two stripes must join one group.
-        let pos = [Pos::new(240.0, 50.0), Pos::new(260.0, 50.0)];
-        let map = ShardMap::stripes(&pos, 500.0, 2);
-        assert_eq!(map.owner, vec![0, 1]);
-        let groups = coupled_groups(&pos, &map.owner, 2, 75.0);
-        assert_eq!(groups, vec![vec![0, 1]]);
-    }
-
-    #[test]
-    fn coupling_is_transitive() {
-        // A chain across three stripes: 0–1 coupled and 1–2 coupled must
-        // merge all three, even though 0 and 2 are far apart.
+    fn linking_is_transitive() {
+        // A chain: 0–1 and 1–2 in range, 0 and 2 far apart, 3 alone.
         let pos = [
-            Pos::new(160.0, 0.0),
-            Pos::new(170.0, 0.0), // stripe 1 (167..333)
-            Pos::new(330.0, 0.0),
-            Pos::new(340.0, 0.0), // stripe 2
+            Pos::new(0.0, 0.0),
+            Pos::new(70.0, 0.0),
+            Pos::new(140.0, 0.0),
+            Pos::new(400.0, 0.0),
         ];
-        let map = ShardMap::stripes(&pos, 500.0, 3);
-        assert_eq!(map.owner, vec![0, 1, 1, 2]);
-        let groups = coupled_groups(&pos, &map.owner, 3, 75.0);
-        assert_eq!(groups, vec![vec![0, 1, 2]]);
+        let comps = radio_components(&pos, 75.0);
+        assert_eq!(comps.of_slot, vec![0, 0, 0, 1]);
+        assert_eq!(comps.degree, vec![1, 2, 1, 0]);
+    }
+
+    #[test]
+    fn lpt_balances_and_never_leaves_a_bin_empty() {
+        // Heaviest first: 7 alone, then 3+2+1+1 fill the other bin.
+        assert_eq!(
+            pack_bins(&[1, 7, 3, 2, 1], 2),
+            vec![vec![1], vec![2, 3, 0, 4]]
+        );
+        // All-zero costs still spread over every bin.
+        assert_eq!(pack_bins(&[0, 0, 0], 2), vec![vec![0, 2], vec![1]]);
+        // Fewer components than bins: one bin per component.
+        assert_eq!(pack_bins(&[5, 9], 8), vec![vec![1], vec![0]]);
+    }
+
+    #[test]
+    fn source_component_carries_the_data_cost() {
+        let cfg = ScenarioConfig::paper_stationary(20.0)
+            .with_nodes(4)
+            .with_packets(150);
+        let comps = Components {
+            of_slot: vec![0, 0, 1, 1],
+            degree: vec![1, 1, 1, 1],
+            count: 2,
+        };
+        let costs = component_costs(&cfg, Protocol::Rmac, &comps);
+        let beacons = cfg.end_time().nanos() / cfg.beacon_period.nanos();
+        assert_eq!(costs[1], 2 * 2 * beacons);
+        assert_eq!(costs[0], 2 * 2 * (beacons + 150 * 2));
     }
 
     #[test]
@@ -807,7 +878,8 @@ mod tests {
             let (report, stats) = ShardedRunner::new(&cfg, Protocol::Rmac, 7).run_with_stats();
             assert_eq!(report, oracle, "shards={shards}");
             assert_eq!(stats.shards, shards);
-            assert!(stats.groups >= 1);
+            assert!(stats.groups >= 1 && stats.groups <= shards);
+            assert_eq!(stats.cross_pushes, 0);
         }
     }
 }

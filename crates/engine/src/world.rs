@@ -12,7 +12,7 @@ use rmac_net::{BlessConfig, NetLayer};
 use rmac_obs::{frame_kind_index, ObsReport, Registry, Snapshot};
 use rmac_phy::FrameTallies;
 use rmac_phy::{Channel, ChannelConfig, IndexMode, Indication, PhyEvent, Tone, ToneLog};
-use rmac_sim::{CalendarQueue, EventQueue, SeqQueue, ShardedQueue, SimQueue, SimRng, SimTime};
+use rmac_sim::{CalendarQueue, EventQueue, SimQueue, SimRng, SimTime};
 use rmac_wire::{consts::BYTE_TIME, Dest, Frame, NodeId};
 
 use crate::config::{Protocol, QueueKind, ScenarioConfig};
@@ -61,41 +61,16 @@ impl From<PhyEvent> for Ev {
     }
 }
 
-impl Ev {
-    /// The channel slot (protocol node index, or jammer slot past the
-    /// protocol population) whose owner shard dispatches this event. Every
-    /// engine event has exactly one home slot, which is what lets the
-    /// sharded queue partition events without changing their dispatch
-    /// order (DESIGN.md §10).
-    pub fn home_slot(&self, nodes: usize) -> usize {
-        match *self {
-            Ev::Phy(PhyEvent::FrameArriveStart { rx, .. })
-            | Ev::Phy(PhyEvent::FrameArriveEnd { rx, .. })
-            | Ev::Phy(PhyEvent::ToneEdge { rx, .. }) => rx.idx(),
-            Ev::Phy(PhyEvent::TxComplete { node, .. }) => node.idx(),
-            Ev::MacTimer { node, .. } | Ev::Beacon { node } => node.idx(),
-            // The application source is pinned to node 0 (the tree root).
-            Ev::Source => 0,
-            Ev::Fault(FaultEv::NodeDown { node }) | Ev::Fault(FaultEv::NodeUp { node }) => {
-                node.idx()
-            }
-            Ev::Fault(FaultEv::JamOn { jammer }) | Ev::Fault(FaultEv::JamOff { jammer }) => {
-                nodes + jammer
-            }
-        }
-    }
-}
-
 /// Per-beacon scheduling jitter bound (ns): each beacon reschedules at
 /// `period + uniform(0, BEACON_JITTER_NS)` so beacons never phase-lock
 /// with the data traffic. Shared with the shard module's timetable
 /// builder, which must replay the draws exactly.
 pub(crate) const BEACON_JITTER_NS: u64 = 10_000_000;
 
-/// Restriction of a runner to the channel slots its shard group owns.
-/// Scoped runners only seed and dispatch events for owned slots; the
-/// coupling analysis in [`crate::shard`] guarantees no event for a
-/// non-owned slot can ever be generated.
+/// Restriction of a runner to the causally closed slot set it is running
+/// ([`Runner::begin_part`]). Scoped runners only seed and dispatch events
+/// for owned slots; the component analysis in [`crate::shard`] guarantees
+/// no event for a non-owned slot can ever be generated.
 pub(crate) struct Scope {
     /// Per channel slot (protocol nodes, then jammers): owned here?
     pub(crate) owned: Vec<bool>,
@@ -316,9 +291,9 @@ struct FaultRt {
 /// Generic over the queue implementation: the default (and what
 /// [`Runner::new`] builds) runs on the [`CalendarQueue`]; the heap oracle
 /// stays available through [`Runner::new_heap`] for differential testing;
-/// and the sharded engine instantiates per-group runners over
-/// [`ShardedQueue`] with either sub-queue kind. Monomorphization keeps
-/// each variant's hot loop branch-free over the choice.
+/// the sharded engine runs one runner per group on either queue.
+/// Monomorphization keeps each variant's hot loop branch-free over the
+/// choice.
 pub struct Runner<Q: SimQueue<Ev> = CalendarQueue<Ev>> {
     core: WorldCore<Q>,
     macs: Vec<Box<dyn MacService>>,
@@ -332,12 +307,15 @@ pub struct Runner<Q: SimQueue<Ev> = CalendarQueue<Ev>> {
     /// Reused indication buffer for PHY dispatch (the event loop's hottest
     /// allocation without it).
     inds_scratch: Vec<Indication>,
-    /// Slot-ownership restriction when this runner drives one shard group
-    /// of a sharded replication; `None` for the whole-world oracle.
+    /// Slot-ownership restriction while this runner drives one part of a
+    /// shard group; `None` for the whole-world oracle.
     scope: Option<Scope>,
     /// Precomputed beacon schedule replacing the live scheduler-stream
     /// draws; `None` for the whole-world oracle.
     beacon_plan: Option<BeaconPlan>,
+    /// Events dispatched and final clock of the parts a shard group has
+    /// already run on this world ([`Runner::begin_part`]).
+    retired: (u64, SimTime),
 }
 
 impl Runner<CalendarQueue<Ev>> {
@@ -359,15 +337,7 @@ impl Runner<CalendarQueue<Ev>> {
         seed: u64,
         plan: &FaultPlan,
     ) -> Runner {
-        Runner::assemble(
-            cfg,
-            protocol,
-            seed,
-            plan,
-            CalendarQueue::with_capacity,
-            None,
-            None,
-        )
+        Runner::assemble(cfg, protocol, seed, plan, None)
     }
 }
 
@@ -386,69 +356,17 @@ impl Runner<EventQueue<Ev>> {
         seed: u64,
         plan: &FaultPlan,
     ) -> Runner<EventQueue<Ev>> {
-        Runner::assemble(
-            cfg,
-            protocol,
-            seed,
-            plan,
-            EventQueue::with_capacity,
-            None,
-            None,
-        )
+        Runner::assemble(cfg, protocol, seed, plan, None)
     }
 }
 
-impl<SQ: SeqQueue<Ev>> Runner<ShardedQueue<Ev, SQ>> {
-    /// Cross-shard bus traffic of a sharded group runner:
-    /// `(cross_pushes, local_pushes)`.
-    pub(crate) fn bus_stats(&self) -> (u64, u64) {
-        (self.core.q.cross_pushes(), self.core.q.local_pushes())
-    }
-
-    /// [`Runner::run_loop`] plus a per-dispatch log, for a shard group
-    /// whose trace must later be interleaved back into the oracle's global
-    /// emission order (DESIGN.md §10). For every dispatched event the log
-    /// records the popped `(time, local seq)` key, how many pushes the
-    /// dispatch made, and how many trace events it appended to `buf` (the
-    /// group's buffering tracer sink, attached via [`Runner::set_tracer`]
-    /// before this call). The trace-merge reconstruction in
-    /// [`crate::shard`] replays these logs against the seeding enumeration
-    /// ([`seed_slots`]) to recover each event's oracle sequence number.
-    pub(crate) fn run_loop_logged(
-        &mut self,
-        buf: &std::sync::Mutex<Vec<TraceEvent>>,
-    ) -> Vec<DispatchRec> {
-        self.seed_events();
-        let end = self.cfg.end_time();
-        let mut log = Vec::new();
-        let mut traced = 0u32;
-        while let Some((t, seq)) = self.core.q.peek_key() {
-            if t > end {
-                break;
-            }
-            let pushed_before = self.core.q.total_pushed();
-            let (_, ev) = self.core.q.pop().expect("peeked event vanished");
-            self.dispatch(ev);
-            let traced_now = buf.lock().expect("trace buffer poisoned").len() as u32;
-            log.push(DispatchRec {
-                t,
-                seq,
-                pushes: (self.core.q.total_pushed() - pushed_before) as u32,
-                traces: traced_now - traced,
-            });
-            traced = traced_now;
-        }
-        log
-    }
-}
-
-/// One dispatched event in a shard group's log (see
+/// One dispatched event in a shard group part's log (see
 /// [`Runner::run_loop_logged`]).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct DispatchRec {
     /// Dispatch time (the popped event's timestamp).
     pub(crate) t: SimTime,
-    /// The popped event's group-local tie-break sequence number.
+    /// The popped event's part-local tie-break sequence number.
     pub(crate) seq: u64,
     /// Pushes the dispatch made (each gets the next local seq, in order).
     pub(crate) pushes: u32,
@@ -481,15 +399,12 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     /// Shared assembly behind [`Runner::with_faults`] and the sharded
     /// engine's per-group runners: identical node-stack construction and
     /// RNG stream derivation, parameterized over the queue implementation
-    /// (built by `make_q` from the pre-sizing capacity), the owned-slot
-    /// scope, and the beacon schedule source.
+    /// and the beacon schedule source.
     pub(crate) fn assemble(
         cfg: &ScenarioConfig,
         protocol: Protocol,
         seed: u64,
         plan: &FaultPlan,
-        make_q: impl FnOnce(usize) -> Q,
-        scope: Option<Scope>,
         beacon_plan: Option<BeaconPlan>,
     ) -> Runner<Q> {
         let master = SimRng::new(seed);
@@ -542,7 +457,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         let queue_capacity = (node_slots * 64).max(4096);
         let mut runner = Runner {
             core: WorldCore {
-                q: make_q(queue_capacity),
+                q: Q::with_capacity(queue_capacity),
                 channel,
                 chan_rng: master.split(2),
                 rngs,
@@ -571,13 +486,29 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 })
             },
             inds_scratch: Vec::new(),
-            scope,
+            scope: None,
             beacon_plan,
+            retired: (0, SimTime::ZERO),
         };
         if cfg.check {
             runner.set_check();
         }
         runner
+    }
+
+    /// Start the next part of a shard group on this world: restrict the
+    /// runner to the causally closed slot set `owned`, swap in a fresh
+    /// queue (keeping the finished part's event count and clock for the
+    /// harvest), and retire the channel's leftover in-flight records.
+    /// Parts share no slot, so each runs exactly as it would alone; running
+    /// them back to back keeps one part's node state in cache at a time.
+    pub(crate) fn begin_part(&mut self, owned: Vec<bool>) {
+        let slots = owned.iter().filter(|&&o| o).count();
+        let done = std::mem::replace(&mut self.core.q, Q::with_capacity((slots * 64).max(4096)));
+        self.retired.0 += done.total_popped();
+        self.retired.1 = self.retired.1.max(done.now());
+        self.core.channel.retire_in_flight();
+        self.scope = Some(Scope { owned });
     }
 
     /// Whether this runner owns channel slot `slot` (always true for the
@@ -758,9 +689,10 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     }
 
     /// Seed the queue's initial events: beacons in node order, the source,
-    /// then the fault plan's scheduled actions. A scoped (shard group)
-    /// runner seeds only its owned slots, in the same global enumeration
-    /// order — the restriction of the oracle's seeding to the group.
+    /// then the fault plan's scheduled actions. A scoped (shard group
+    /// part) runner seeds only its owned slots, in the same global
+    /// enumeration order — the restriction of the oracle's seeding to the
+    /// part.
     /// [`seed_slots`] mirrors this enumeration; keep the two in lockstep.
     fn seed_events(&mut self) {
         // Stagger the first beacons uniformly over one period so the
@@ -844,6 +776,42 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 self.dispatch_observed(ev);
             }
         }
+    }
+
+    /// [`Runner::run_loop`] plus a per-dispatch log, for a shard group part
+    /// whose trace must later be interleaved back into the oracle's global
+    /// emission order (DESIGN.md §10). For every dispatched event the log
+    /// records the popped `(time, local seq)` key, how many pushes the
+    /// dispatch made, and how many trace events it appended to `buf` (the
+    /// group's buffering tracer sink, attached via [`Runner::set_tracer`]
+    /// before this call). The trace-merge reconstruction in
+    /// [`crate::shard`] replays these logs against the seeding enumeration
+    /// ([`seed_slots`]) to recover each event's oracle sequence number.
+    pub(crate) fn run_loop_logged(
+        &mut self,
+        buf: &std::sync::Mutex<Vec<TraceEvent>>,
+    ) -> Vec<DispatchRec> {
+        self.seed_events();
+        let end = self.cfg.end_time();
+        let mut log = Vec::new();
+        let mut traced = 0u32;
+        while let Some((t, seq)) = self.core.q.peek_key() {
+            if t > end {
+                break;
+            }
+            let pushed_before = self.core.q.total_pushed();
+            let (_, ev) = self.core.q.pop().expect("peeked event vanished");
+            self.dispatch(ev);
+            let traced_now = buf.lock().expect("trace buffer poisoned").len() as u32;
+            log.push(DispatchRec {
+                t,
+                seq,
+                pushes: (self.core.q.total_pushed() - pushed_before) as u32,
+                traces: traced_now - traced,
+            });
+            traced = traced_now;
+        }
+        log
     }
 
     /// Record every snapshot boundary at or before `t` (the next event's
@@ -1356,8 +1324,8 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         Harvest {
             frames: self.core.channel.frame_tallies(),
             faults_injected: self.core.channel.faults_injected(),
-            events: self.core.q.total_popped(),
-            now: self.core.q.now(),
+            events: self.retired.0 + self.core.q.total_popped(),
+            now: self.retired.1.max(self.core.q.now()),
             packets_sent: self.cfg.packets - self.packets_left,
             crashes: self.faults.as_ref().map_or(0, |f| f.crashes),
             jam_bursts: self.faults.as_ref().map_or(0, |f| f.jam_bursts),

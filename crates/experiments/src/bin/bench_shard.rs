@@ -1,20 +1,21 @@
 //! Tracked sharded-engine scaling baseline: the "multicell" workload at
 //! increasing node counts, run at 1/2/4/8 shards, emitted as
 //! `results/BENCH_shard.json` (wall-clock, events/second, speedup over
-//! the single-shard oracle, shard-group decomposition and cross-shard bus
-//! traffic). Every cell is checked for a bit-identical `RunReport`
+//! the flat oracle, and the shard-group count; `cross_pushes` is always 0
+//! since groups are causally closed radio components). Every cell is checked for a bit-identical `RunReport`
 //! against the oracle — the sharded engine's determinism contract,
 //! asserted at full replication scale on every baseline refresh; the
 //! process exits nonzero on any divergence, which is what the CI `shard`
 //! stage keys on.
 //!
-//! The workload is eight paper-density cells spread along x with
-//! radio-silent gaps between them, the multicast source in cell 0 and the
-//! BLESS-lite beacon plane active everywhere — the "city of disjoint
-//! neighborhoods" shape the ROADMAP's scaling items target. With 8 cells
-//! the stripe partition decomposes into 2/4/8 radio-isolated groups at
-//! 2/4/8 shards, so the curve measures real conservative-sync
-//! parallelism, not embarrassing replication-level parallelism.
+//! The workload is [`ScenarioConfig::multicell`]: eight paper-density
+//! cells spread along x with radio-silent gaps between them, the
+//! multicast source in cell 0 and the BLESS-lite beacon plane active
+//! everywhere — the "city of disjoint neighborhoods" shape the ROADMAP's
+//! scaling items target. The engine packs the cells' radio components
+//! into at most 2/4/8 cost-balanced groups, so the curve measures real
+//! conservative-sync parallelism, not embarrassing replication-level
+//! parallelism.
 //!
 //! ```text
 //! bench_shard              # full curve: 200/500/2000/10000 nodes
@@ -28,48 +29,12 @@ use std::time::Instant;
 
 use rmac_engine::{run_replication, Protocol, ScenarioConfig, ShardedRunner};
 use rmac_metrics::RunReport;
-use rmac_mobility::{Bounds, Pos};
-use rmac_sim::SimRng;
-
-/// Cells in the multicell workload; also the maximum useful shard count.
-const CELLS: usize = 8;
-/// Radio-silent gap between adjacent cells (m); must exceed the 75 m
-/// radio range so cells never couple.
-const CELL_GAP_M: f64 = 120.0;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// The multicell scenario: `nodes` split evenly over [`CELLS`] cells,
-/// each cell at the paper's density (75 nodes per 500 m × 300 m),
-/// cell-major node numbering so node 0 (the source) sits in cell 0.
-fn multicell(nodes: usize, packets: u64) -> ScenarioConfig {
-    assert!(nodes >= CELLS, "need at least one node per cell");
-    let per_cell = nodes / CELLS;
-    let scale = (per_cell as f64 / 75.0).sqrt();
-    let (cell_w, cell_h) = (500.0 * scale, 300.0 * scale);
-    let pitch = cell_w + CELL_GAP_M;
-    let mut rng = SimRng::new(0xC0FFEE).split(7);
-    let mut positions = Vec::with_capacity(nodes);
-    for i in 0..nodes {
-        let cell = (i * CELLS / nodes).min(CELLS - 1);
-        let x0 = cell as f64 * pitch;
-        positions.push(Pos::new(
-            rng.uniform_f64(x0, x0 + cell_w),
-            rng.uniform_f64(0.0, cell_h),
-        ));
-    }
-    let mut cfg = ScenarioConfig::paper_stationary(20.0)
-        .with_nodes(nodes)
-        .with_packets(packets)
-        .with_positions(positions);
-    cfg.name = format!("multicell-{nodes}");
-    cfg.bounds = Bounds::new(CELLS as f64 * pitch - CELL_GAP_M, cell_h);
-    cfg
 }
 
 /// Wall-clock the oracle: best of `reps`, plus the reference report.
@@ -127,7 +92,7 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
     for &nodes in node_counts {
-        let cfg = multicell(nodes, packets);
+        let cfg = ScenarioConfig::multicell(nodes, packets);
         let (oracle_s, oracle) = measure_oracle(&cfg, seed, reps);
         eprintln!(
             "  {nodes:>6} nodes: oracle {oracle_s:>8.3} s  ({:.2}M events)",

@@ -126,7 +126,11 @@ fn main() {
     println!("{}", obs.render());
     println!("{}", frame_kind_table(&report).render());
     println!("{}", render_timeline(&records, 5_000_000, 40));
-    println!("shard balance (4 shards -> {} groups):", stats.groups);
+    println!(
+        "shard balance (shards = 4 -> {} group(s); est% is the estimated cost share, \
+         actual% the event share):",
+        stats.groups
+    );
     println!("{}", render_shard_balance(&balance));
     println!(
         "ok: RunReport bit-identical, {} trace lines written, 0 dropped \

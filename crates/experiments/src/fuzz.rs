@@ -21,7 +21,11 @@ use rmac_engine::{
 };
 use rmac_faults::{BurstySpec, ChurnKind, ChurnSpec, FaultPlan, JamTarget, JammerSpec, SkewSpec};
 use rmac_mobility::{Bounds, Pos};
-use rmac_sim::SimTime;
+use rmac_sim::{SimRng, SimTime};
+
+/// Gap between adjacent [`FuzzTopology::Islands`] copies (m); wider than
+/// the 75 m radio range, so islands never couple.
+const ISLAND_GAP_M: f64 = 100.0;
 
 /// What one checked replication of a fuzz case produced.
 #[derive(Debug)]
@@ -90,6 +94,29 @@ pub fn materialize(fs: &FuzzScenario) -> (ScenarioConfig, Protocol, FaultPlan) {
             c.bounds = Bounds::new(side_m, side_m);
             c
         }
+        FuzzTopology::Islands {
+            clusters,
+            nodes,
+            side_m,
+        } => {
+            // One cluster placed from a stream fixed by its shape, then
+            // translated copies `ISLAND_GAP_M` apart (island-major node
+            // numbering, so the source sits in island 0).
+            let mut rng = SimRng::new(side_m.to_bits() ^ nodes as u64).split(11);
+            let base: Vec<(f64, f64)> = (0..nodes)
+                .map(|_| (rng.uniform_f64(0.0, side_m), rng.uniform_f64(0.0, side_m)))
+                .collect();
+            let pitch = side_m + ISLAND_GAP_M;
+            let positions = (0..clusters)
+                .flat_map(|k| {
+                    base.iter()
+                        .map(move |&(x, y)| Pos::new(x + k as f64 * pitch, y))
+                })
+                .collect();
+            let mut c = ScenarioConfig::paper_stationary(fs.rate_pps).with_positions(positions);
+            c.bounds = Bounds::new(clusters as f64 * pitch - ISLAND_GAP_M, side_m);
+            c
+        }
     };
     cfg.name = format!("fuzz-{}", fs.label());
     cfg.packets = fs.packets;
@@ -105,7 +132,9 @@ pub fn materialize(fs: &FuzzScenario) -> (ScenarioConfig, Protocol, FaultPlan) {
     let nodes = fs.nodes() as u16;
     let jam_pos = match fs.topology {
         FuzzTopology::Chain { hops, spacing_m } => (hops as f64 * spacing_m / 2.0, 0.0),
-        FuzzTopology::Cluster { side_m, .. } => (side_m / 2.0, side_m / 2.0),
+        FuzzTopology::Cluster { side_m, .. } | FuzzTopology::Islands { side_m, .. } => {
+            (side_m / 2.0, side_m / 2.0)
+        }
     };
     let plan = FaultPlan {
         salt: 0,
@@ -264,6 +293,30 @@ fn reductions(fs: &FuzzScenario) -> Vec<FuzzScenario> {
             };
             out.push(c);
         }
+        FuzzTopology::Islands {
+            clusters,
+            nodes,
+            side_m,
+        } => {
+            if clusters > 2 {
+                let mut c = fs.clone();
+                c.topology = FuzzTopology::Islands {
+                    clusters: clusters - 1,
+                    nodes,
+                    side_m,
+                };
+                out.push(c);
+            }
+            if nodes > 1 {
+                let mut c = fs.clone();
+                c.topology = FuzzTopology::Islands {
+                    clusters,
+                    nodes: nodes - 1,
+                    side_m,
+                };
+                out.push(c);
+            }
+        }
         _ => {}
     }
     if fs.payload > 50 {
@@ -342,6 +395,13 @@ pub fn repro_json(fs: &FuzzScenario, seed: u64, signature: &str, detail: &str) -
         FuzzTopology::Cluster { nodes, side_m } => {
             format!(r#"{{"kind":"cluster","nodes":{nodes},"side_m":{side_m}}}"#)
         }
+        FuzzTopology::Islands {
+            clusters,
+            nodes,
+            side_m,
+        } => format!(
+            r#"{{"kind":"islands","clusters":{clusters},"nodes":{nodes},"side_m":{side_m}}}"#
+        ),
     };
     let (_, _, plan) = materialize(fs);
     format!(
@@ -482,6 +542,36 @@ mod tests {
                 outcome.describe()
             );
         }
+    }
+
+    /// Islands are the fuzzer's multi-group cases: the sharded run packs
+    /// their components into more than one group (so a SHARD_DIVERGENCE
+    /// is a live finding class, not a vacuous one) and still matches the
+    /// oracle.
+    #[test]
+    fn islands_exercise_the_multi_group_path() {
+        let fs = FuzzScenario {
+            topology: FuzzTopology::Islands {
+                clusters: 3,
+                nodes: 3,
+                side_m: 40.0,
+            },
+            protocol: FuzzProtocol::Rmac,
+            rate_pps: 20.0,
+            packets: 6,
+            payload: 200,
+            faults: FuzzFaults::default(),
+            shards: 2,
+            queue: FuzzQueue::Calendar,
+        };
+        let (cfg, protocol, plan) = materialize(&fs);
+        assert_eq!(cfg.nodes, 9);
+        let (report, stats) =
+            rmac_engine::ShardedRunner::with_faults(&cfg, protocol, 5, &plan).run_with_stats();
+        assert_eq!(stats.groups, 2, "three islands into two groups");
+        assert_eq!(report, rmac_engine::run_replication(&cfg, protocol, 5));
+        assert!(run_case(&fs, 5).signature().is_none());
+        assert!(repro_json(&fs, 5, "C1", "").contains("\"islands\""));
     }
 
     #[test]

@@ -1,86 +1,65 @@
 //! Shard-balance reporting: per-group scheduling rows from the sharded
 //! conservative-sync engine.
 //!
-//! The engine's `ShardStats` exports one [`ShardGroupRow`] per causally
-//! closed shard group; this module renders the set as an aligned balance
-//! table (for `obs_report`) and as JSON (for `results/obs/`). The event
-//! and push counters are deterministic simulation state; the wall reading
-//! is scheduling telemetry and lives outside the determinism domain, like
-//! the kernel profiler's clocks.
+//! The engine's `ShardStats` exports one [`ShardGroupRow`] per shard group
+//! (a bin of radio components); this module renders the set as an aligned
+//! balance table (for `obs_report`) and as JSON (for `results/obs/`). The
+//! node, component and event counts and the estimated cost share are
+//! deterministic; the wall reading is scheduling telemetry and lives
+//! outside the determinism domain, like the kernel profiler's clocks.
 
 use std::fmt::Write as _;
 
 /// One shard group's scheduling row.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardGroupRow {
-    /// The shard ids the group owns, sorted ascending.
-    pub shards: Vec<usize>,
+    /// Protocol nodes the group owns.
+    pub nodes: usize,
+    /// Radio components packed into the group.
+    pub components: usize,
+    /// The group's share of the engine's estimated run cost (0..=1).
+    pub est_share: f64,
     /// Events the group dispatched.
     pub events: u64,
-    /// Pushes that stayed on the dispatching shard.
-    pub local_pushes: u64,
-    /// Pushes that crossed shards inside the group (bus traffic).
-    pub cross_pushes: u64,
     /// Wall-clock nanoseconds the group's worker spent on it.
     pub wall_ns: u64,
 }
 
-impl ShardGroupRow {
-    /// Cross-shard pushes as a share of all pushes, in percent.
-    pub fn cross_pct(&self) -> f64 {
-        let total = self.local_pushes + self.cross_pushes;
-        if total == 0 {
-            0.0
-        } else {
-            100.0 * self.cross_pushes as f64 / total as f64
-        }
-    }
-
-    fn shards_label(&self) -> String {
-        self.shards
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join("+")
-    }
-}
-
-/// Aligned plain-text shard-balance table: one row per group plus a
-/// totals line. Balance (max/mean events per group) quantifies how evenly
-/// the coupling analysis split the work.
+/// Aligned plain-text shard-balance table: one row per group with its
+/// estimated cost share next to its actual event share, plus a totals
+/// line. Balance (max/mean events per group) quantifies how evenly the
+/// packing split the work.
 pub fn render_shard_balance(rows: &[ShardGroupRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<8} {:<10} {:>12} {:>14} {:>14} {:>8} {:>10}",
-        "group", "shards", "events", "local_pushes", "cross_pushes", "cross%", "wall_ms"
+        "{:<8} {:>8} {:>6} {:>12} {:>8} {:>8} {:>10}",
+        "group", "nodes", "comps", "events", "est%", "actual%", "wall_ms"
     );
-    let mut tot_events = 0u64;
-    let mut max_events = 0u64;
+    let tot_events: u64 = rows.iter().map(|r| r.events).sum();
+    let max_events = rows.iter().map(|r| r.events).max().unwrap_or(0);
     for (i, r) in rows.iter().enumerate() {
-        tot_events += r.events;
-        max_events = max_events.max(r.events);
+        let actual = if tot_events == 0 {
+            0.0
+        } else {
+            100.0 * r.events as f64 / tot_events as f64
+        };
         let _ = writeln!(
             out,
-            "{:<8} {:<10} {:>12} {:>14} {:>14} {:>8.2} {:>10.3}",
+            "{:<8} {:>8} {:>6} {:>12} {:>8.1} {:>8.1} {:>10.3}",
             i,
-            r.shards_label(),
+            r.nodes,
+            r.components,
             r.events,
-            r.local_pushes,
-            r.cross_pushes,
-            r.cross_pct(),
+            100.0 * r.est_share,
+            actual,
             r.wall_ns as f64 / 1e6,
         );
     }
-    let mean = if rows.is_empty() {
-        0.0
-    } else {
-        tot_events as f64 / rows.len() as f64
-    };
-    let balance = if mean == 0.0 {
+    let balance = if tot_events == 0 {
         1.0
     } else {
-        max_events as f64 / mean
+        max_events as f64 * rows.len() as f64 / tot_events as f64
     };
     let _ = writeln!(
         out,
@@ -98,16 +77,10 @@ pub fn shard_balance_json(rows: &[ShardGroupRow]) -> String {
     let body = rows
         .iter()
         .map(|r| {
-            let shards = r
-                .shards
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
             format!(
-                "{{\"shards\":[{}],\"events\":{},\"local_pushes\":{},\
-                 \"cross_pushes\":{},\"wall_ns\":{}}}",
-                shards, r.events, r.local_pushes, r.cross_pushes, r.wall_ns
+                "{{\"nodes\":{},\"components\":{},\"est_share\":{:.6},\
+                 \"events\":{},\"wall_ns\":{}}}",
+                r.nodes, r.components, r.est_share, r.events, r.wall_ns
             )
         })
         .collect::<Vec<_>>()
@@ -122,33 +95,29 @@ mod tests {
     fn rows() -> Vec<ShardGroupRow> {
         vec![
             ShardGroupRow {
-                shards: vec![0, 1],
+                nodes: 250,
+                components: 1,
+                est_share: 0.55,
                 events: 300,
-                local_pushes: 240,
-                cross_pushes: 60,
                 wall_ns: 2_500_000,
             },
             ShardGroupRow {
-                shards: vec![2],
+                nodes: 1750,
+                components: 12,
+                est_share: 0.45,
                 events: 100,
-                local_pushes: 100,
-                cross_pushes: 0,
                 wall_ns: 900_000,
             },
         ]
     }
 
     #[test]
-    fn cross_pct_is_a_share_of_all_pushes() {
-        let r = &rows()[0];
-        assert!((r.cross_pct() - 20.0).abs() < 1e-9);
-        assert_eq!(rows()[1].cross_pct(), 0.0);
-    }
-
-    #[test]
     fn render_lists_groups_and_totals() {
         let s = render_shard_balance(&rows());
-        assert!(s.contains("0+1"));
+        // Estimated share next to the actual event share (300/400).
+        assert!(s.contains("55.0"));
+        assert!(s.contains("75.0"));
+        assert!(s.contains("1750"));
         assert!(s.contains("400 events"));
         assert!(s.contains("2 groups"));
         // max/mean = 300/200.
@@ -159,8 +128,9 @@ mod tests {
     fn json_round_trips_through_the_jsonl_parser() {
         let j = shard_balance_json(&rows());
         assert!(j.starts_with('[') && j.ends_with(']'));
-        assert!(j.contains("\"shards\":[0,1]"));
-        assert!(j.contains("\"cross_pushes\":60"));
+        assert!(j.contains("\"nodes\":250"));
+        assert!(j.contains("\"components\":12"));
+        assert!(j.contains("\"est_share\":0.550000"));
     }
 
     #[test]

@@ -227,6 +227,15 @@ impl Channel {
         }
     }
 
+    /// Forget every in-flight transmission and tone record. For embedders
+    /// that run causally closed node sets back to back on one channel:
+    /// once a set's run is over its leftover records are never read again,
+    /// and keeping them would pin the id slabs to the oldest leftover.
+    pub fn retire_in_flight(&mut self) {
+        self.txs.clear();
+        self.tones.clear();
+    }
+
     /// The always-on per-frame-kind tallies.
     pub fn frame_tallies(&self) -> FrameTallies {
         self.frames

@@ -89,6 +89,14 @@ impl<T> IdSlab<T> {
         out
     }
 
+    /// Drop every record, keeping the id position: later inserts must
+    /// still use ids above every id inserted so far.
+    pub fn clear(&mut self) {
+        self.base += self.ring.len() as u64;
+        self.ring.clear();
+        self.live = 0;
+    }
+
     #[inline]
     pub fn len(&self) -> usize {
         self.live
@@ -142,6 +150,21 @@ mod tests {
         }
         assert!(s.is_empty());
         assert_eq!(s.ring.len(), 0);
+    }
+
+    #[test]
+    fn clear_drops_records_and_keeps_the_id_position() {
+        let mut s = IdSlab::new();
+        for id in 0..5u64 {
+            s.insert(id, id);
+        }
+        s.remove(0);
+        s.clear();
+        assert!(s.is_empty());
+        assert_eq!(s.get(3), None);
+        s.insert(5, 50);
+        assert_eq!(s.ring.len(), 1, "no gap slots for the cleared ids");
+        assert_eq!(s.get(5), Some(&50));
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! unique ascending `(time, seq)` order, exactly what the oracle produces,
 //! independent of either structure's internal layout. The differential harness
 //! `tests/queue_equivalence.rs` holds the two implementations to identical
-//! pop streams over randomized push/pop/`push_with_seq` schedules, and the
+//! pop streams over randomized push/pop schedules, and the
 //! engine holds full replications to `RunReport` bit-identity.
 //!
 //! The refill step runs eagerly after every pop, so "queue non-empty ⇒
@@ -92,8 +92,8 @@ const DEFAULT_NBUCKETS: usize = 1024;
 /// A calendar/ladder event queue, pop-order identical to
 /// [`EventQueue`](crate::EventQueue).
 ///
-/// Drop-in behind the [`SimQueue`](crate::SimQueue) /
-/// [`SeqQueue`](crate::SeqQueue) traits: deterministic `(time, seq)` FIFO
+/// Drop-in behind the [`SimQueue`](crate::SimQueue) trait: deterministic
+/// `(time, seq)` FIFO
 /// tie-breaking for simultaneous events, a monotone clock, the same
 /// past-scheduling clamp/debug-panic, and the same lifetime counters
 /// (`total_pushed` / `total_popped` / `depth_high_water`) feeding rmac-obs.
@@ -130,11 +130,6 @@ pub struct CalendarQueue<E> {
     rotations: u64,
     /// Events pulled back from the far heap into the ring (diagnostic).
     far_pulls: u64,
-    /// Tie-break sequencing mode: 0 unset, 1 internal (`push`), 2 external
-    /// (`push_with_seq`). Mixing the two on one queue corrupts FIFO order;
-    /// debug builds panic on the first mixed call.
-    #[cfg(debug_assertions)]
-    seq_mode: u8,
 }
 
 impl<E> Default for CalendarQueue<E> {
@@ -188,8 +183,6 @@ impl<E> CalendarQueue<E> {
             high_water: 0,
             rotations: 0,
             far_pulls: 0,
-            #[cfg(debug_assertions)]
-            seq_mode: 0,
         }
     }
 
@@ -212,21 +205,6 @@ impl<E> CalendarQueue<E> {
         self.now
     }
 
-    #[cfg(debug_assertions)]
-    fn note_seq_mode(&mut self, external: bool) {
-        let m = if external { 2 } else { 1 };
-        if self.seq_mode == 0 {
-            self.seq_mode = m;
-        } else {
-            assert!(
-                self.seq_mode == m,
-                "mixing push and push_with_seq on one queue corrupts the \
-                 FIFO tie-break order (internal next_seq is not advanced by \
-                 push_with_seq); route all pushes through one mode"
-            );
-        }
-    }
-
     /// Schedule `event` at absolute time `at`.
     ///
     /// Scheduling in the past is clamped to the current clock in release
@@ -238,8 +216,6 @@ impl<E> CalendarQueue<E> {
             at = at,
             now = self.now
         );
-        #[cfg(debug_assertions)]
-        self.note_seq_mode(false);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.push_keyed(at.max(self.now), seq, event);
@@ -249,22 +225,6 @@ impl<E> CalendarQueue<E> {
     #[inline]
     pub fn push_after(&mut self, delay: SimTime, event: E) {
         self.push(self.now + delay, event);
-    }
-
-    /// Schedule `event` at `at` with a caller-supplied tie-break sequence
-    /// number — the sharded front-end's entry point (see
-    /// [`EventQueue::push_with_seq`](crate::EventQueue::push_with_seq)).
-    /// Must not be mixed with [`CalendarQueue::push`] on the same queue.
-    pub fn push_with_seq(&mut self, at: SimTime, seq: u64, event: E) {
-        debug_assert!(
-            at >= self.now,
-            "event scheduled in the past: at={at} now={now}",
-            at = at,
-            now = self.now
-        );
-        #[cfg(debug_assertions)]
-        self.note_seq_mode(true);
-        self.push_keyed(at.max(self.now), seq, event);
     }
 
     fn push_keyed(&mut self, at: SimTime, seq: u64, event: E) {
@@ -567,15 +527,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "mixing push and push_with_seq")]
-    fn mixing_seq_modes_panics_in_debug() {
-        let mut q = CalendarQueue::new();
-        q.push(SimTime::MICRO, 1);
-        q.push_with_seq(SimTime::MICRO, 7, 2);
-    }
-
-    #[test]
     fn counters_track_traffic() {
         let mut q = CalendarQueue::new();
         q.push(SimTime::MICRO, 1);
@@ -616,19 +567,6 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(3)));
         assert_eq!(q.pop(), Some((SimTime::from_secs(3), ())));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn external_seq_mode_orders_by_caller_seq() {
-        let mut q = CalendarQueue::with_geometry(3, 4);
-        let t = SimTime::from_nanos(12);
-        q.push_with_seq(t, 5, "later");
-        q.push_with_seq(t, 9, "last");
-        q.push_with_seq(SimTime::from_nanos(12), 2, "first");
-        assert_eq!(q.peek_key(), Some((t, 2)));
-        assert_eq!(q.pop(), Some((t, "first")));
-        assert_eq!(q.pop(), Some((t, "later")));
-        assert_eq!(q.pop(), Some((t, "last")));
     }
 
     #[test]

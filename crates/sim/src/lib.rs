@@ -16,15 +16,14 @@
 //! The kernel dispatches each causally-coupled region single-threaded:
 //! wireless MAC simulations are dominated by fine-grained causally-ordered
 //! events, so parallelism is applied across independent replications (see
-//! `rmac-experiments`) and across radio-isolated shard groups (see
-//! [`ShardedQueue`] and the engine's conservative-sync scheduler), never
-//! within one coupled region.
+//! `rmac-experiments`) and across radio-isolated components (the engine's
+//! sharded runner), never within one coupled region.
 
 pub mod calendar;
 pub mod hash;
 pub mod queue;
 pub mod rng;
-pub mod shard;
+pub mod sim_queue;
 pub mod time;
 pub mod timer;
 
@@ -32,6 +31,6 @@ pub use calendar::CalendarQueue;
 pub use hash::{DetHashMap, DetHashSet, DetHasher, DetState};
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use shard::{SeqQueue, ShardedQueue, SimQueue};
+pub use sim_queue::SimQueue;
 pub use time::SimTime;
 pub use timer::TimerSlot;

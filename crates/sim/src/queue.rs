@@ -55,13 +55,6 @@ pub struct EventQueue<E> {
     pushed: u64,
     popped: u64,
     high_water: usize,
-    /// Tie-break sequencing mode: 0 unset, 1 internal (`push`), 2 external
-    /// (`push_with_seq`). `push_with_seq` does not advance the internal
-    /// `next_seq` counter, so mixing the two modes on one queue silently
-    /// corrupts the FIFO tie-break order; debug builds panic on the first
-    /// mixed call instead.
-    #[cfg(debug_assertions)]
-    seq_mode: u8,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -80,23 +73,6 @@ impl<E> EventQueue<E> {
             pushed: 0,
             popped: 0,
             high_water: 0,
-            #[cfg(debug_assertions)]
-            seq_mode: 0,
-        }
-    }
-
-    #[cfg(debug_assertions)]
-    fn note_seq_mode(&mut self, external: bool) {
-        let m = if external { 2 } else { 1 };
-        if self.seq_mode == 0 {
-            self.seq_mode = m;
-        } else {
-            assert!(
-                self.seq_mode == m,
-                "mixing push and push_with_seq on one queue corrupts the \
-                 FIFO tie-break order (internal next_seq is not advanced by \
-                 push_with_seq); route all pushes through one mode"
-            );
         }
     }
 
@@ -140,8 +116,6 @@ impl<E> EventQueue<E> {
             at = at,
             now = self.now
         );
-        #[cfg(debug_assertions)]
-        self.note_seq_mode(false);
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -162,41 +136,7 @@ impl<E> EventQueue<E> {
         self.push(self.now + delay, event);
     }
 
-    /// Schedule `event` at `at` with a caller-supplied tie-break sequence
-    /// number.
-    ///
-    /// This is the [`crate::ShardedQueue`] entry point: when one logical
-    /// queue is partitioned across shards, the *shared* sequence counter
-    /// lives in the sharded front-end so that simultaneous events keep one
-    /// global FIFO order no matter which sub-queue they land in. Callers
-    /// must not mix this with [`EventQueue::push`] on the same queue — the
-    /// internal counter would collide with the external one. The queue
-    /// enters a sequencing mode on first use and debug builds panic if the
-    /// other entry point is subsequently called.
-    pub fn push_with_seq(&mut self, at: SimTime, seq: u64, event: E) {
-        debug_assert!(
-            at >= self.now,
-            "event scheduled in the past: at={at} now={now}",
-            at = at,
-            now = self.now
-        );
-        #[cfg(debug_assertions)]
-        self.note_seq_mode(true);
-        let at = at.max(self.now);
-        self.pushed += 1;
-        self.heap.push(Entry {
-            time: at,
-            seq,
-            event,
-        });
-        if self.heap.len() > self.high_water {
-            self.high_water = self.heap.len();
-        }
-    }
-
-    /// The `(time, seq)` key of the earliest pending event, if any. The
-    /// sharded scheduler compares keys across sub-queues to find the
-    /// globally earliest event.
+    /// The `(time, seq)` key of the earliest pending event, if any.
     #[inline]
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
         self.heap.peek().map(|e| (e.time, e.seq))
@@ -296,32 +236,6 @@ mod tests {
         q.push(SimTime::from_micros(10), ());
         q.pop();
         q.push(SimTime::from_micros(5), ());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "mixing push and push_with_seq")]
-    fn mixing_seq_modes_panics_in_debug() {
-        // push_with_seq does not advance next_seq, so a later push would
-        // reuse a sequence number and break the FIFO tie-break. The queue
-        // locks into a mode on first use.
-        let mut q = EventQueue::new();
-        q.push_with_seq(SimTime::MICRO, 7, 1);
-        q.push(SimTime::MICRO, 2);
-    }
-
-    #[test]
-    fn single_mode_streams_stay_legal() {
-        // Locking into a mode must not reject homogeneous traffic.
-        let mut a = EventQueue::new();
-        a.push(SimTime::MICRO, 1);
-        a.push(SimTime::MICRO, 2);
-        assert_eq!(a.pop(), Some((SimTime::MICRO, 1)));
-        let mut b = EventQueue::new();
-        b.push_with_seq(SimTime::MICRO, 5, "y");
-        b.push_with_seq(SimTime::MICRO, 3, "x");
-        assert_eq!(b.pop(), Some((SimTime::MICRO, "x")));
-        assert_eq!(b.pop(), Some((SimTime::MICRO, "y")));
     }
 
     #[test]

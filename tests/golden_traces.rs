@@ -181,13 +181,13 @@ fn golden_scenarios() -> Vec<(&'static str, ScenarioConfig, u64, FaultPlan)> {
         ScenarioConfig::paper_stationary(5.0)
             .with_packets(3)
             .with_positions(vec![
-                // Cluster A (left stripe): source plus two receivers.
+                // Cluster A (left): source plus two receivers.
                 Pos::new(40.0, 100.0),
                 Pos::new(90.0, 100.0),
                 Pos::new(40.0, 160.0),
-                // Cluster B (right stripe): radio-isolated bystanders,
-                // > 75 m from everything in A, so two shards decouple
-                // into two causally closed groups.
+                // Cluster B (right): radio-isolated bystanders, > 75 m
+                // from everything in A, so two shards run the two
+                // components as two causally closed groups.
                 Pos::new(420.0, 100.0),
                 Pos::new(460.0, 140.0),
             ]),
@@ -237,7 +237,7 @@ fn golden_tone_jam() {
     assert_golden(name, &trace);
 }
 
-/// Two radio-isolated clusters: under two shards the coupling analysis
+/// Two radio-isolated clusters: under two shards the component analysis
 /// splits them into separate groups, so this golden exercises the sharded
 /// engine's per-group trace buffers and the `(time, seq)` merge rather
 /// than the single-group pass-through.

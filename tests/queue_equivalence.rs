@@ -6,10 +6,10 @@
 //!
 //! 1. **Queue level** — for random operation schedules (bursty
 //!    same-timestamp clusters, delays that straddle the calendar's
-//!    window/ring/far boundaries, interleaved pops, sharded external-seq
-//!    interleavings) the calendar pops the *identical* `(time, seq, event)`
-//!    stream as the heap, on the default geometry and on deliberately tiny
-//!    geometries that force constant rotation and far-heap traffic.
+//!    window/ring/far boundaries, interleaved pops) the calendar pops the
+//!    *identical* `(time, seq, event)` stream as the heap, on the default
+//!    geometry and on deliberately tiny geometries that force constant
+//!    rotation and far-heap traffic.
 //! 2. **Replication level** — for scenarios drawn from the fuzz generator,
 //!    a full replication produces a **bit-identical** `RunReport` under
 //!    heap and calendar queues, serial and sharded at 1/2/4/8 shards.
@@ -21,7 +21,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rmac::engine::QueueKind;
 use rmac::prelude::*;
-use rmac::sim::{CalendarQueue, EventQueue, SeqQueue, ShardedQueue, SimQueue};
+use rmac::sim::{CalendarQueue, EventQueue};
 use rmac_experiments::fuzz::materialize;
 
 use rmac_core::testkit::fuzz::scenario_strategy;
@@ -84,7 +84,7 @@ fn assert_pops_identical(ops: &[Op], mut cal: CalendarQueue<u32>) -> Result<(), 
                 now: &mut u64|
      -> Result<(), TestCaseError> {
         prop_assert_eq!(
-            SeqQueue::peek_key(heap),
+            heap.peek_key(),
             cal.peek_key(),
             "peek_key diverged at t={}",
             *now
@@ -137,76 +137,6 @@ proptest! {
         nbuckets_log2 in 1u32..5,
     ) {
         assert_pops_identical(&ops, CalendarQueue::with_geometry(shift, 1 << nbuckets_log2))?;
-    }
-
-    /// External-seq mode (the sharded front-end's contract): pushes carry
-    /// caller-supplied tie-break sequence numbers, all pushes precede all
-    /// pops, and both queues must drain in identical `(time, seq)` order
-    /// even when seqs arrive out of order relative to timestamps.
-    #[test]
-    fn external_seq_schedules_pop_identically(
-        entries in vec((0u64..10_000_000, 0u64..1 << 40), 0..200),
-    ) {
-        let mut heap: EventQueue<u32> = EventQueue::new();
-        let mut cal: CalendarQueue<u32> = CalendarQueue::with_geometry(6, 16);
-        for (i, &(t, seq_high)) in entries.iter().enumerate() {
-            // Unique seq per entry: random high bits, unique low bits —
-            // equal (time, seq) keys would make the drain order
-            // legitimately unspecified.
-            let seq = (seq_high << 20) | i as u64;
-            let at = rmac::sim::SimTime::from_nanos(t);
-            SeqQueue::push_with_seq(&mut heap, at, seq, i as u32);
-            cal.push_with_seq(at, seq, i as u32);
-        }
-        while !heap.is_empty() {
-            prop_assert_eq!(SeqQueue::peek_key(&heap), cal.peek_key());
-            prop_assert_eq!(heap.pop(), cal.pop());
-        }
-        prop_assert!(cal.is_empty());
-    }
-
-    /// The sharded front-end, generically instantiated: a
-    /// `ShardedQueue` over calendar sub-queues is indistinguishable from
-    /// one over heap sub-queues under random routed workloads, including
-    /// the cross-shard push accounting.
-    #[test]
-    fn sharded_front_end_is_queue_agnostic(
-        shards in 1usize..6,
-        ops in schedule_strategy(),
-    ) {
-        let mk_route = |shards: usize| {
-            Box::new(move |e: &u32| *e as usize % shards) as Box<dyn Fn(&u32) -> usize + Send>
-        };
-        let mut heap: ShardedQueue<u32, EventQueue<u32>> =
-            ShardedQueue::new(shards, 64, mk_route(shards));
-        let mut cal: ShardedQueue<u32, CalendarQueue<u32>> =
-            ShardedQueue::new(shards, 64, mk_route(shards));
-        let mut now = 0u64;
-        let mut next_id = 0u32;
-        for op in &ops {
-            match *op {
-                Op::Push(delta) => {
-                    let at = rmac::sim::SimTime::from_nanos(now + delta);
-                    heap.push(at, next_id);
-                    cal.push(at, next_id);
-                    next_id += 1;
-                }
-                Op::Pop => {
-                    prop_assert_eq!(heap.peek_key(), cal.peek_key());
-                    let h = heap.pop();
-                    prop_assert_eq!(h, cal.pop());
-                    if let Some((t, _)) = h {
-                        now = t.nanos();
-                    }
-                }
-            }
-        }
-        while !heap.is_empty() || !cal.is_empty() {
-            prop_assert_eq!(heap.peek_key(), cal.peek_key());
-            prop_assert_eq!(heap.pop(), cal.pop());
-        }
-        prop_assert_eq!(heap.cross_pushes(), cal.cross_pushes());
-        prop_assert_eq!(heap.local_pushes(), cal.local_pushes());
     }
 }
 

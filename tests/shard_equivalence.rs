@@ -1,28 +1,39 @@
 //! The sharded engine's determinism contract (property-based).
 //!
-//! For any scenario kind, node count, source rate, fault plan and seed,
-//! running under the sharded conservative-sync engine at 2/4/8 shards is
-//! **bit-identical** — every `RunReport` field, including the processed
-//! event count — to the single-queue oracle. Same pattern as
+//! For any scenario kind, node count, cluster count, source rate, fault
+//! plan and seed, running under the sharded conservative-sync engine at
+//! 1/2/4/8 shards is **bit-identical** — every `RunReport` field,
+//! including the processed event count — to the single-queue oracle.
+//! Multi-cluster draws split into several radio components, so the suite
+//! exercises the multi-group path as well as the flat route. Same pattern as
 //! `tests/grid_equivalence.rs`: the oracle is the brute-force ground
 //! truth, the optimised path must be observationally invisible.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use rmac::faults::{ChurnKind, ChurnSpec, FaultPlan, JamTarget, JammerSpec, SkewSpec};
-use rmac::mobility::Bounds;
+use rmac::mobility::{Bounds, Pos};
 use rmac::prelude::*;
+
+/// Side of one island's square in a multi-cluster draw (m).
+const ISLAND_M: f64 = 60.0;
+/// Gap between islands (m); wider than the 75 m radio range.
+const ISLAND_GAP_M: f64 = 100.0;
 
 /// Random small-but-live scenarios over all three mobility kinds, on a
 /// dense plane so every protocol phase (contention, tones, retries,
-/// forwarding) actually fires.
+/// forwarding) actually fires. With `clusters > 1` the nodes are dealt
+/// round-robin onto that many islands out of each other's radio range
+/// (node 0, the source, on island 0).
 fn any_cfg() -> impl Strategy<Value = ScenarioConfig> {
     (
-        0usize..3,
+        (0usize..3, 1usize..4),
         5usize..22,
         50u64..400, // 5..40 pkt/s, scaled by 10
         4u64..16,
+        0u64..1_000_000,
     )
-        .prop_map(|(scenario, nodes, rate_x10, packets)| {
+        .prop_map(|((scenario, clusters), nodes, rate_x10, packets, layout)| {
             let rate = rate_x10 as f64 / 10.0;
             let mut cfg = match scenario {
                 0 => ScenarioConfig::paper_stationary(rate),
@@ -32,6 +43,21 @@ fn any_cfg() -> impl Strategy<Value = ScenarioConfig> {
             .with_nodes(nodes)
             .with_packets(packets);
             cfg.bounds = Bounds::new(150.0, 120.0);
+            if clusters > 1 {
+                let pitch = ISLAND_M + ISLAND_GAP_M;
+                let mut rng = SimRng::new(layout);
+                let positions = (0..nodes)
+                    .map(|i| {
+                        let x0 = (i % clusters) as f64 * pitch;
+                        Pos::new(
+                            rng.uniform_f64(x0, x0 + ISLAND_M),
+                            rng.uniform_f64(0.0, ISLAND_M),
+                        )
+                    })
+                    .collect();
+                cfg = cfg.with_positions(positions);
+                cfg.bounds = Bounds::new(clusters as f64 * pitch - ISLAND_GAP_M, 120.0);
+            }
             cfg
         })
 }
@@ -149,17 +175,41 @@ proptest! {
     }
 }
 
+/// The cluster axis is live: replaying the draws of
+/// `sharded_replication_is_bit_identical`, some cases run as more than one
+/// shard group, so the proptest above covers the multi-group merge and not
+/// only the flat route.
+#[test]
+fn equivalence_suite_reaches_multi_group_runs() {
+    let (cfg, plan) = (any_cfg(), any_plan());
+    let multi = (0..24u32)
+        .filter(|&case| {
+            let mut rng = TestRng::for_case(
+                concat!(module_path!(), "::sharded_replication_is_bit_identical"),
+                case,
+            );
+            let cfg = cfg.generate(&mut rng);
+            let plan = plan.generate(&mut rng);
+            let seed = (0u64..10_000).generate(&mut rng);
+            let (_, stats) =
+                ShardedRunner::with_faults(&cfg.with_shards(4), Protocol::Rmac, seed, &plan)
+                    .run_with_stats();
+            stats.groups >= 2
+        })
+        .count();
+    assert!(multi > 0, "no drawn case ran more than one shard group");
+}
+
 /// A deliberately decoupled layout — two dense clusters far outside radio
 /// range — must decompose into parallel groups *and* still match the
 /// oracle bit for bit. This is the case where the engine actually runs
 /// multi-threaded, so it guards the merge path specifically.
 #[test]
 fn decoupled_clusters_run_parallel_and_match() {
-    use rmac::mobility::Pos;
     let mut positions = Vec::new();
     for i in 0..12 {
-        // Cluster A in stripe 0, cluster B in stripe 3 (width 1000, 4
-        // shards → stripes of 250 m; 75 m radio cannot bridge the gap).
+        // Cluster A at the left edge, cluster B 900 m to the right (the
+        // 75 m radio cannot bridge the gap).
         let (cx, cy) = ((i % 4) as f64 * 30.0, (i / 4) as f64 * 30.0);
         positions.push(Pos::new(cx + 10.0, cy + 10.0));
         positions.push(Pos::new(cx + 910.0, cy + 10.0));

@@ -1,32 +1,38 @@
-//! Regression tests pinning the cross-shard tie-break rule.
+//! Regression tests pinning the same-instant tie-break rule the sharded
+//! engine rests on.
 //!
-//! The latent ordering hazard in any partitioned event queue: two events
-//! at the *same nanosecond* on *different shards* — e.g. a tone edge and a
-//! frame arrival start reaching two receivers equidistant from their
-//! emitters, right at the τ propagation horizon. A naive per-shard pop
-//! would dispatch them in shard order; the contract is **global FIFO**:
-//! same-timestamp events dispatch in push (sequence) order, exactly as in
-//! the flat oracle queue. These tests pin that rule at the queue layer
-//! with real engine events, and end-to-end through a scenario built to
-//! mass-produce boundary-straddling simultaneous events.
+//! The oracle dispatches every radio component from one queue; a shard
+//! group runs each component on a flat queue of its own. The two agree
+//! only because of the **FIFO** contract: same-timestamp events — e.g. a
+//! tone edge and a frame arrival start reaching two receivers equidistant
+//! from their emitters, right at the τ propagation horizon — dispatch in
+//! push (sequence) order, and that order holds on every subsequence of the
+//! oracle's pushes. These tests pin the rule at the queue layer with real
+//! engine events on both queue kinds, and end-to-end through a scenario
+//! built to mass-produce simultaneous events on both sides of a sender.
 
 use rmac::engine::world::Ev;
 use rmac::mobility::{Bounds, Pos};
 use rmac::phy::{PhyEvent, Tone};
 use rmac::prelude::*;
-use rmac::sim::{ShardedQueue, SimQueue};
+use rmac::sim::{CalendarQueue, EventQueue, SimQueue};
 
-/// The queue-level pin with real engine events: a ToneEdge to a node on
-/// shard 1 and a FrameArriveStart to a node on shard 0, pushed at the
-/// identical timestamp (an exact τ horizon boundary), must pop in push
-/// order — tone first here, because it was pushed first — not in shard
-/// order.
+/// Pop everything left in `q`, in dispatch order.
+fn drain(mut q: impl SimQueue<Ev>) -> Vec<Ev> {
+    std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect()
+}
+
+/// The queue-level pin with real engine events: a ToneEdge to node 1 and a
+/// FrameArriveStart to node 2 pushed at the identical timestamp (an exact τ horizon boundary), must
+/// pop in push order on either queue kind: tone first here, because it
+/// was pushed first.
 #[test]
 fn same_instant_tone_edge_and_frame_start_keep_push_order() {
-    // Route by node id parity: even → shard 0, odd → shard 1.
-    let nodes = 4usize;
-    let mut q: ShardedQueue<Ev> =
-        ShardedQueue::new(2, 16, Box::new(move |ev: &Ev| ev.home_slot(nodes) % 2));
+    check_tone_edge_and_frame_start(CalendarQueue::new());
+    check_tone_edge_and_frame_start(EventQueue::new());
+}
+
+fn check_tone_edge_and_frame_start(mut q: impl SimQueue<Ev>) {
     // τ for the paper's 75 m range is 250 ns; pick a boundary instant.
     let tau = SimTime::from_nanos(250);
     let t = SimTime::from_micros(100) + tau;
@@ -56,7 +62,7 @@ fn same_instant_tone_edge_and_frame_start_keep_push_order() {
             emit: 9,
         }),
     );
-    let order: Vec<Ev> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+    let order = drain(q);
     assert_eq!(order.len(), 3);
     assert!(
         matches!(order[0], Ev::Phy(PhyEvent::ToneEdge { rx: NodeId(1), .. })),
@@ -68,7 +74,7 @@ fn same_instant_tone_edge_and_frame_start_keep_push_order() {
             order[1],
             Ev::Phy(PhyEvent::FrameArriveStart { rx: NodeId(2), .. })
         ),
-        "cross-shard same-instant event lost FIFO order, got {:?}",
+        "same-instant event lost FIFO order, got {:?}",
         order[1]
     );
     assert!(
@@ -78,14 +84,16 @@ fn same_instant_tone_edge_and_frame_start_keep_push_order() {
     );
 }
 
-/// Same-instant events within one shard and across shards interleaved:
-/// the dispatch order is exactly the push order, regardless of which
-/// sub-queue each event landed in.
+/// Same-instant timers at nodes of several components, pushed in an
+/// interleaved node order: the dispatch order is exactly the push order on
+/// either queue kind.
 #[test]
 fn interleaved_same_instant_events_dispatch_in_sequence_order() {
-    let nodes = 8usize;
-    let mut q: ShardedQueue<Ev> =
-        ShardedQueue::new(4, 16, Box::new(move |ev: &Ev| ev.home_slot(nodes) % 4));
+    check_interleaved_timers(CalendarQueue::new());
+    check_interleaved_timers(EventQueue::new());
+}
+
+fn check_interleaved_timers(mut q: impl SimQueue<Ev>) {
     let t = SimTime::from_millis(5);
     let pushed: Vec<u16> = vec![3, 0, 1, 2, 7, 4, 6, 5];
     for &n in &pushed {
@@ -99,8 +107,9 @@ fn interleaved_same_instant_events_dispatch_in_sequence_order() {
             },
         );
     }
-    let popped: Vec<u16> = std::iter::from_fn(|| q.pop())
-        .map(|(_, e)| match e {
+    let popped: Vec<u16> = drain(q)
+        .into_iter()
+        .map(|e| match e {
             Ev::MacTimer { node, .. } => node.0,
             other => panic!("unexpected event {other:?}"),
         })
@@ -111,17 +120,15 @@ fn interleaved_same_instant_events_dispatch_in_sequence_order() {
     );
 }
 
-/// End-to-end pin: a sender parked exactly on a stripe boundary with
-/// receivers mirrored at equal distances on both sides. Every frame
-/// arrival and tone edge it emits reaches both sides at the *same
-/// nanosecond* on *different shards* — the adversarial case for the
-/// tie-break — and the sharded report must still match the oracle bit for
-/// bit, at every shard count.
+/// End-to-end pin: a sender at the centre of the plane with receivers
+/// mirrored at equal distances on both sides. Every frame arrival and tone
+/// edge it emits reaches both sides at the *same nanosecond*, and the
+/// sharded report must still match the oracle bit for bit, at every shard
+/// count. The layout is one radio component, so every count routes to the
+/// flat runner.
 #[test]
 fn boundary_straddling_receivers_match_oracle() {
-    // Bounds 300 m wide: with 2 shards the stripe boundary is x = 150;
-    // with 4 it is x ∈ {75, 150, 225}. Sender at the 150 m boundary,
-    // receiver pairs mirrored ±10, ±25, ±40 m around it.
+    // Sender at x = 150 m, receiver pairs mirrored ±10, ±25, ±40 m.
     let mut positions = vec![Pos::new(150.0, 50.0)];
     for d in [10.0, 25.0, 40.0] {
         positions.push(Pos::new(150.0 - d, 50.0));
@@ -139,11 +146,6 @@ fn boundary_straddling_receivers_match_oracle() {
             ShardedRunner::new(&cfg.clone().with_shards(shards), Protocol::Rmac, 17)
                 .run_with_stats();
         assert_eq!(report, oracle, "shards={shards}");
-        // The layout must actually exercise the bus: receivers sit on
-        // both sides of a stripe boundary, so arrivals cross shards.
-        assert!(
-            stats.cross_pushes > 0,
-            "boundary scenario produced no cross-shard traffic at shards={shards}"
-        );
+        assert_eq!(stats.groups, 1, "one component must run flat");
     }
 }
