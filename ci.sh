@@ -29,8 +29,8 @@ echo "==> shard stage (sharded-engine equivalence proptests + balance/islands te
 cargo test -q --release --test shard_equivalence --test shard_tiebreak --test shard_balance
 cargo run -q --release -p rmac-experiments --bin bench_shard -- --smoke
 
-echo "==> queue stage (calendar/heap differential proptests + bench_phy --smoke A/B)"
-cargo test -q --release --test queue_equivalence
+echo "==> queue stage (calendar/heap + lazy/per-slot backoff differential proptests + bench_phy --smoke A/B)"
+cargo test -q --release --test queue_equivalence --test slot_elision
 cargo run -q --release -p rmac-experiments --bin bench_phy -- --smoke
 
 echo "==> campaign stage (quick sweep + resume law + regression gate + dashboard)"

@@ -22,7 +22,7 @@ use bytes::Bytes;
 use rmac_core::api::{MacContext, MacService, TimerKind, TxOutcome, TxRequest};
 use rmac_core::config::MacConfig;
 use rmac_phy::Indication;
-use rmac_sim::{SimTime, TimerSlot};
+use rmac_sim::{EventKey, SimTime, TimerSlot};
 use rmac_wire::airtime::{data_airtime, frame_airtime};
 use rmac_wire::consts::{RTS_LEN, SHORT_CTRL_LEN, SIFS, TAU};
 use rmac_wire::{Dest, Frame, FrameKind, NodeId};
@@ -151,7 +151,7 @@ impl Bmmm {
         Bmmm {
             id,
             cfg,
-            dcf: Dcf::new(cfg.cw_min, cfg.cw_max),
+            dcf: Dcf::new(cfg.cw_min, cfg.cw_max, cfg.per_slot_backoff),
             queue: VecDeque::new(),
             job: None,
             phase: Phase::Idle,
@@ -376,7 +376,7 @@ impl Bmmm {
 
     /// Queue a CTS/ACK response to go out one SIFS from now.
     fn respond(&mut self, ctx: &mut dyn MacContext, frame: Frame) {
-        self.dcf.suspend();
+        self.dcf.suspend(ctx);
         self.resp = Some(frame);
         self.phase = Phase::RespGap;
         let gen = self.t_resp_gap.arm();
@@ -396,7 +396,7 @@ impl Bmmm {
         if !addressed {
             // Virtual carrier sense: honor the overheard duration field.
             if frame.nav > SimTime::ZERO {
-                self.dcf.observe_nav(ctx.now(), frame.nav);
+                self.dcf.observe_nav(ctx, frame.nav);
             }
             // Overhearers still record broadcast/overheard data below.
         }
@@ -464,6 +464,10 @@ impl Bmmm {
 }
 
 impl MacService for Bmmm {
+    fn backoff_horizon(&self, stop: EventKey, end: SimTime) -> SimTime {
+        self.dcf.backoff_horizon(stop, end)
+    }
+
     fn submit(&mut self, ctx: &mut dyn MacContext, req: TxRequest) {
         if self.queue.len() >= self.cfg.queue_capacity {
             ctx.counters().queue_rejections += 1;
@@ -481,7 +485,8 @@ impl MacService for Bmmm {
 
     fn on_indication(&mut self, ctx: &mut dyn MacContext, ind: &Indication) {
         match ind {
-            Indication::CarrierOn { .. } | Indication::ToneChanged { .. } => {}
+            Indication::CarrierOn { .. } => self.dcf.carrier_on(ctx),
+            Indication::ToneChanged { .. } => {}
             Indication::CarrierOff { .. } => {
                 self.try_progress(ctx);
             }

@@ -21,7 +21,7 @@ use bytes::Bytes;
 use rmac_core::api::{MacContext, MacService, TimerKind, TxOutcome, TxRequest};
 use rmac_core::config::MacConfig;
 use rmac_phy::Indication;
-use rmac_sim::{SimTime, TimerSlot};
+use rmac_sim::{EventKey, SimTime, TimerSlot};
 use rmac_wire::airtime::{data_airtime, frame_airtime};
 use rmac_wire::consts::{SHORT_CTRL_LEN, SIFS, TAU};
 use rmac_wire::{Dest, Frame, FrameKind, NodeId};
@@ -109,7 +109,7 @@ impl Bmw {
         Bmw {
             id,
             cfg,
-            dcf: Dcf::new(cfg.cw_min, cfg.cw_max),
+            dcf: Dcf::new(cfg.cw_min, cfg.cw_max, cfg.per_slot_backoff),
             queue: VecDeque::new(),
             job: None,
             phase: Phase::Idle,
@@ -265,7 +265,7 @@ impl Bmw {
     }
 
     fn respond(&mut self, ctx: &mut dyn MacContext, frame: Frame) {
-        self.dcf.suspend();
+        self.dcf.suspend(ctx);
         self.resp = Some(frame);
         self.phase = Phase::RespGap;
         let gen = self.t_resp_gap.arm();
@@ -283,7 +283,7 @@ impl Bmw {
             ctx.counters().ctrl_airtime += frame.airtime();
         }
         if !addressed && frame.nav > SimTime::ZERO {
-            self.dcf.observe_nav(ctx.now(), frame.nav);
+            self.dcf.observe_nav(ctx, frame.nav);
         }
         match frame.kind {
             FrameKind::Rts if addressed
@@ -366,6 +366,10 @@ impl Bmw {
 }
 
 impl MacService for Bmw {
+    fn backoff_horizon(&self, stop: EventKey, end: SimTime) -> SimTime {
+        self.dcf.backoff_horizon(stop, end)
+    }
+
     fn submit(&mut self, ctx: &mut dyn MacContext, req: TxRequest) {
         if self.queue.len() >= self.cfg.queue_capacity {
             ctx.counters().queue_rejections += 1;
@@ -383,7 +387,8 @@ impl MacService for Bmw {
 
     fn on_indication(&mut self, ctx: &mut dyn MacContext, ind: &Indication) {
         match ind {
-            Indication::CarrierOn { .. } | Indication::ToneChanged { .. } => {}
+            Indication::CarrierOn { .. } => self.dcf.carrier_on(ctx),
+            Indication::ToneChanged { .. } => {}
             Indication::CarrierOff { .. } => self.try_progress(ctx),
             Indication::FrameRx { frame, ok, .. } => self.handle_frame(ctx, frame, *ok),
             Indication::TxDone { aborted, .. } => {

@@ -22,7 +22,7 @@ use bytes::Bytes;
 use rmac_core::api::{MacContext, MacService, TimerKind, TxOutcome, TxRequest};
 use rmac_core::config::MacConfig;
 use rmac_phy::Indication;
-use rmac_sim::{SimTime, TimerSlot};
+use rmac_sim::{EventKey, SimTime, TimerSlot};
 use rmac_wire::airtime::{data_airtime, frame_airtime};
 use rmac_wire::consts::{SHORT_CTRL_LEN, SIFS, TAU};
 use rmac_wire::{Dest, Frame, FrameKind, NodeId};
@@ -104,7 +104,7 @@ impl Lbp {
         Lbp {
             id,
             cfg,
-            dcf: Dcf::new(cfg.cw_min, cfg.cw_max),
+            dcf: Dcf::new(cfg.cw_min, cfg.cw_max, cfg.per_slot_backoff),
             queue: VecDeque::new(),
             job: None,
             phase: Phase::Idle,
@@ -254,7 +254,7 @@ impl Lbp {
     }
 
     fn respond(&mut self, ctx: &mut dyn MacContext, frame: Frame) {
-        self.dcf.suspend();
+        self.dcf.suspend(ctx);
         self.resp = Some(frame);
         self.phase = Phase::RespGap;
         let gen = self.t_resp_gap.arm();
@@ -282,7 +282,7 @@ impl Lbp {
             ctx.counters().ctrl_airtime += frame.airtime();
         }
         if !addressed && frame.nav > SimTime::ZERO && !frame.order.contains(&self.id) {
-            self.dcf.observe_nav(ctx.now(), frame.nav);
+            self.dcf.observe_nav(ctx, frame.nav);
         }
         match frame.kind {
             FrameKind::Rts if frame.order.contains(&self.id) => {
@@ -352,6 +352,10 @@ impl Lbp {
 }
 
 impl MacService for Lbp {
+    fn backoff_horizon(&self, stop: EventKey, end: SimTime) -> SimTime {
+        self.dcf.backoff_horizon(stop, end)
+    }
+
     fn submit(&mut self, ctx: &mut dyn MacContext, req: TxRequest) {
         if self.queue.len() >= self.cfg.queue_capacity {
             ctx.counters().queue_rejections += 1;
@@ -369,7 +373,8 @@ impl MacService for Lbp {
 
     fn on_indication(&mut self, ctx: &mut dyn MacContext, ind: &Indication) {
         match ind {
-            Indication::CarrierOn { .. } | Indication::ToneChanged { .. } => {}
+            Indication::CarrierOn { .. } => self.dcf.carrier_on(ctx),
+            Indication::ToneChanged { .. } => {}
             Indication::CarrierOff { .. } => self.try_progress(ctx),
             Indication::FrameRx { frame, ok, .. } => self.handle_frame(ctx, frame, *ok),
             Indication::TxDone { aborted, .. } => {

@@ -30,7 +30,7 @@ use bytes::Bytes;
 use rmac_core::api::{MacContext, MacService, TimerKind, TxOutcome, TxRequest};
 use rmac_core::config::MacConfig;
 use rmac_phy::{Indication, Tone};
-use rmac_sim::{SimTime, TimerSlot};
+use rmac_sim::{EventKey, SimTime, TimerSlot};
 use rmac_wire::airtime::{data_airtime, frame_airtime};
 use rmac_wire::consts::{LAMBDA, SHORT_CTRL_LEN, SIFS, TAU, T_WF};
 use rmac_wire::{Dest, Frame, FrameKind, NodeId};
@@ -123,7 +123,7 @@ impl Mx {
         Mx {
             id,
             cfg,
-            dcf: Dcf::new(cfg.cw_min, cfg.cw_max),
+            dcf: Dcf::new(cfg.cw_min, cfg.cw_max, cfg.per_slot_backoff),
             queue: VecDeque::new(),
             job: None,
             phase: Phase::Idle,
@@ -266,7 +266,7 @@ impl Mx {
             ctx.counters().ctrl_airtime += frame.airtime();
         }
         if !addressed && frame.nav > SimTime::ZERO && !frame.order.contains(&self.id) {
-            self.dcf.observe_nav(ctx.now(), frame.nav);
+            self.dcf.observe_nav(ctx, frame.nav);
         }
         match frame.kind {
             FrameKind::Rts if frame.order.contains(&self.id) && self.phase == Phase::Idle => {
@@ -285,7 +285,7 @@ impl Mx {
                         frame.src,
                         frame.nav.saturating_sub(SIFS + short_air()),
                     );
-                    self.dcf.suspend();
+                    self.dcf.suspend(ctx);
                     self.resp = Some(cts);
                     self.phase = Phase::RespGap;
                     let g = self.t_resp_gap.arm();
@@ -323,6 +323,10 @@ impl Mx {
 }
 
 impl MacService for Mx {
+    fn backoff_horizon(&self, stop: EventKey, end: SimTime) -> SimTime {
+        self.dcf.backoff_horizon(stop, end)
+    }
+
     fn submit(&mut self, ctx: &mut dyn MacContext, req: TxRequest) {
         if self.queue.len() >= self.cfg.queue_capacity {
             ctx.counters().queue_rejections += 1;
@@ -340,7 +344,8 @@ impl MacService for Mx {
 
     fn on_indication(&mut self, ctx: &mut dyn MacContext, ind: &Indication) {
         match ind {
-            Indication::CarrierOn { .. } | Indication::ToneChanged { .. } => {}
+            Indication::CarrierOn { .. } => self.dcf.carrier_on(ctx),
+            Indication::ToneChanged { .. } => {}
             Indication::CarrierOff { .. } => self.try_progress(ctx),
             Indication::FrameRx { frame, ok, .. } => self.handle_frame(ctx, frame, *ok),
             Indication::TxDone { aborted, .. } => {

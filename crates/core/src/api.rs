@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use rmac_phy::{Indication, Tone, ToneLog};
-use rmac_sim::{SimRng, SimTime};
+use rmac_sim::{EventKey, SimRng, SimTime, Tie};
 use rmac_wire::{Dest, Frame, NodeId};
 
 /// An upper-layer transmit request.
@@ -81,7 +81,30 @@ pub trait MacContext {
     /// Current simulation time.
     fn now(&self) -> SimTime;
     /// Schedule a timer firing `delay` from now, tagged with `(kind, gen)`.
+    /// The delay runs on this node's clock ([`MacContext::local_delay`]).
     fn schedule(&mut self, delay: SimTime, kind: TimerKind, gen: u64);
+    /// `delay` as this node's clock runs it (the engine applies per-node
+    /// clock skew to every timer delay). Identity by default.
+    fn local_delay(&self, delay: SimTime) -> SimTime {
+        delay
+    }
+    /// The queue key of the event being dispatched (see
+    /// [`rmac_sim::key`]).
+    fn dispatch_key(&self) -> EventKey;
+    /// Schedule a timer at boundary `at` of a slot lattice with period
+    /// `slot` (an absolute time, no skew applied), keyed
+    /// `(at, at − slot, tie)` so it sorts where a timer pushed one slot
+    /// before `at` would. `tie = None` opens a new lattice: its tie is
+    /// derived from the dispatch key and this push's sequence number
+    /// ([`Tie::open`]). Returns the tie used.
+    fn schedule_anchored(
+        &mut self,
+        at: SimTime,
+        slot: SimTime,
+        tie: Option<Tie>,
+        kind: TimerKind,
+        gen: u64,
+    ) -> Tie;
     /// Begin transmitting `frame` on the data channel.
     fn start_tx(&mut self, frame: Frame);
     /// Abort the in-flight transmission (RMAC §3.3.2 step 3).
@@ -132,6 +155,17 @@ pub trait MacService: Send {
     ///
     /// [`transitions`]: MacService::transitions
     fn enable_transition_counting(&mut self) {}
+
+    /// The time of the latest backoff-slot event the per-slot countdown
+    /// would have dispatched, for a run ending at `end` with this entity
+    /// frozen at the dispatch keyed `stop` ([`Backoff::per_slot_horizon`]).
+    /// The engine rebuilds the per-slot final clock from it. `ZERO` by
+    /// default (no backoff).
+    ///
+    /// [`Backoff::per_slot_horizon`]: crate::backoff::Backoff::per_slot_horizon
+    fn backoff_horizon(&self, _stop: EventKey, _end: SimTime) -> SimTime {
+        SimTime::ZERO
+    }
 
     /// State-machine transition counts, if this MAC records them: the state
     /// labels plus a flattened row-major `from × to` count matrix

@@ -27,6 +27,11 @@ pub struct MacConfig {
     /// sensed. Exists so the checker's C1 invariant has a known-broken MAC
     /// to catch; never enabled in experiments.
     pub skip_rbt_sense: bool,
+    /// Arm a backoff wake-up on every 20 µs slot boundary instead of only
+    /// where the countdown can end or suspend. Results are bit-identical
+    /// apart from the event count; the per-slot countdown is the oracle
+    /// the lazy one is tested against (DESIGN.md §12).
+    pub per_slot_backoff: bool,
 }
 
 impl Default for MacConfig {
@@ -39,6 +44,7 @@ impl Default for MacConfig {
             queue_capacity: 512,
             rbt_data_protection: true,
             skip_rbt_sense: false,
+            per_slot_backoff: false,
         }
     }
 }
@@ -56,5 +62,6 @@ mod tests {
         assert_eq!(c.max_receivers, 20);
         assert!(c.rbt_data_protection);
         assert!(!c.skip_rbt_sense);
+        assert!(!c.per_slot_backoff);
     }
 }

@@ -21,12 +21,12 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use rmac_phy::{Indication, Tone};
-use rmac_sim::{SimTime, TimerSlot};
-use rmac_wire::consts::{LAMBDA, L_ABT, SLOT, T_WF, T_WF_RDATA};
+use rmac_sim::{EventKey, SimTime, TimerSlot};
+use rmac_wire::consts::{LAMBDA, L_ABT, T_WF, T_WF_RDATA};
 use rmac_wire::{Dest, Frame, FrameKind, NodeId};
 
 use crate::api::{MacContext, MacService, TimerKind, TxOutcome, TxRequest};
-use crate::backoff::Backoff;
+use crate::backoff::{Backoff, Wake};
 use crate::config::MacConfig;
 
 /// The eight protocol states of Fig. 14.
@@ -138,7 +138,6 @@ pub struct Rmac {
     /// When the WF_ABT collection window opened.
     abt_window_start: SimTime,
     next_seq: u32,
-    t_backoff: TimerSlot,
     t_wf_rbt: TimerSlot,
     t_wf_rdata: TimerSlot,
     t_wf_abt: TimerSlot,
@@ -164,12 +163,11 @@ impl Rmac {
             state: State::Idle,
             queue: VecDeque::new(),
             job: None,
-            backoff: Backoff::new(cfg.cw_min, cfg.cw_max),
+            backoff: Backoff::new(cfg.cw_min, cfg.cw_max).with_per_slot(cfg.per_slot_backoff),
             rx: None,
             abt_pending: false,
             abt_window_start: SimTime::ZERO,
             next_seq: 0,
-            t_backoff: TimerSlot::new(),
             t_wf_rbt: TimerSlot::new(),
             t_wf_rdata: TimerSlot::new(),
             t_wf_abt: TimerSlot::new(),
@@ -185,7 +183,8 @@ impl Rmac {
         self.state
     }
 
-    /// Remaining backoff interval, in slots.
+    /// Remaining backoff interval, in slots, as of the last boundary the
+    /// countdown charged (see [`Backoff::bi`]).
     pub fn bi(&self) -> u64 {
         self.backoff.bi()
     }
@@ -289,15 +288,14 @@ impl Rmac {
             // busy — enter the backoff procedure (draw BI) and wait in IDLE
             // for the channel to clear.
             if self.job.is_some() && self.backoff.bi() == 0 {
-                self.backoff.draw(ctx.rng());
+                self.backoff.draw(ctx);
             }
             return;
         }
         if self.backoff.bi() > 0 {
             // C8: both channels idle and BI not 0.
             self.set_state(State::Backoff);
-            let gen = self.t_backoff.arm();
-            ctx.schedule(SLOT, TimerKind::BackoffSlot, gen);
+            self.backoff.start(ctx);
             return;
         }
         // BI == 0 and channels idle: transmit if something is pending
@@ -340,7 +338,7 @@ impl Rmac {
     /// Post-completion backoff (condition (3) of §3.3.1): every successful
     /// transmission or frame drop is followed by a fresh backoff draw.
     fn post_cycle(&mut self, ctx: &mut dyn MacContext) {
-        self.backoff.draw(ctx.rng());
+        self.backoff.draw(ctx);
         self.set_state(State::Idle);
         self.try_progress(ctx);
     }
@@ -363,7 +361,7 @@ impl Rmac {
         } else {
             ctx.counters().retransmissions += 1;
             self.backoff.fail();
-            self.backoff.draw(ctx.rng());
+            self.backoff.draw(ctx);
             self.set_state(State::Idle);
             self.try_progress(ctx);
         }
@@ -448,7 +446,7 @@ impl Rmac {
             return; // not an intended receiver
         };
         if self.state == State::Backoff {
-            self.t_backoff.cancel();
+            self.backoff.stop(ctx);
         }
         // C3: MRTS correctly received → raise the RBT and wait for data.
         self.rx = Some(RxSession {
@@ -507,23 +505,21 @@ impl Rmac {
     // Timer handling
     // -----------------------------------------------------------------
 
-    fn on_backoff_slot(&mut self, ctx: &mut dyn MacContext) {
+    fn on_backoff_slot(&mut self, ctx: &mut dyn MacContext, gen: u64) {
         if self.state != State::Backoff {
             return;
         }
-        if !self.channels_idle(ctx) {
+        let idle = self.channels_idle(ctx);
+        match self.backoff.on_timer(ctx, gen, idle) {
+            Wake::Stale | Wake::Counting => {}
             // Suspend: BI is retained, countdown resumes when both
             // channels go idle again (§3.3.1).
-            self.set_state(State::Idle);
-            return;
-        }
-        if self.backoff.tick() {
-            // C14/C6: BI reached 0 — transmit, or fall back to IDLE.
-            self.set_state(State::Idle);
-            self.try_progress(ctx);
-        } else {
-            let gen = self.t_backoff.arm();
-            ctx.schedule(SLOT, TimerKind::BackoffSlot, gen);
+            Wake::Suspended => self.set_state(State::Idle),
+            Wake::Expired => {
+                // C14/C6: BI reached 0 — transmit, or fall back to IDLE.
+                self.set_state(State::Idle);
+                self.try_progress(ctx);
+            }
         }
     }
 
@@ -663,6 +659,9 @@ impl MacService for Rmac {
     fn on_indication(&mut self, ctx: &mut dyn MacContext, ind: &Indication) {
         match ind {
             Indication::CarrierOn { .. } => {
+                if self.state == State::Backoff {
+                    self.backoff.busy_edge(ctx);
+                }
                 if self.state == State::WfRdata {
                     let mut first_bit = false;
                     if let Some(rx) = self.rx.as_mut() {
@@ -686,6 +685,9 @@ impl MacService for Rmac {
                 self.try_progress(ctx);
             }
             Indication::ToneChanged { tone, present, .. } => {
+                if *tone == Tone::Rbt && *present && self.state == State::Backoff {
+                    self.backoff.busy_edge(ctx);
+                }
                 if *tone == Tone::Rbt && *present {
                     // §3.3.2 step 3 (and §3.3.3 step 2): abort in-flight
                     // MRTS / unreliable data on sensing an RBT, protecting
@@ -712,11 +714,7 @@ impl MacService for Rmac {
 
     fn on_timer(&mut self, ctx: &mut dyn MacContext, kind: TimerKind, gen: u64) {
         match kind {
-            TimerKind::BackoffSlot => {
-                if self.t_backoff.disarm_if(gen) {
-                    self.on_backoff_slot(ctx);
-                }
-            }
+            TimerKind::BackoffSlot => self.on_backoff_slot(ctx, gen),
             TimerKind::WfRbt => {
                 if self.t_wf_rbt.disarm_if(gen) {
                     self.on_wf_rbt(ctx);
@@ -752,6 +750,10 @@ impl MacService for Rmac {
 
     fn enable_transition_counting(&mut self) {
         self.count_transitions = true;
+    }
+
+    fn backoff_horizon(&self, stop: EventKey, end: SimTime) -> SimTime {
+        self.backoff.per_slot_horizon(stop, end)
     }
 
     fn transitions(&self) -> Option<(&'static [&'static str], Vec<u64>)> {

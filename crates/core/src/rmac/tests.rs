@@ -4,7 +4,7 @@
 use bytes::Bytes;
 use rmac_phy::{Indication, Tone};
 use rmac_sim::SimTime;
-use rmac_wire::consts::{L_ABT, T_WF};
+use rmac_wire::consts::{L_ABT, SLOT, T_WF};
 use rmac_wire::{Dest, Frame, FrameKind, NodeId};
 
 use crate::api::{MacService, TimerKind, TxOutcome, TxRequest};
@@ -17,19 +17,39 @@ fn n(i: u16) -> NodeId {
 
 use crate::testkit::{Action, Mock};
 
-/// Run a node's backoff to completion (fires slot timers until the MAC
-/// leaves BACKOFF). Channels stay idle throughout.
+/// Run a node's backoff to completion (fires its wake-ups until the MAC
+/// leaves BACKOFF). Channels stay idle throughout, so the countdown that
+/// started at the current instant ends exactly BI slots later, after one
+/// wake-up (lazy) or BI of them (per slot).
 fn drain_backoff(m: &mut Mock, mac: &mut Rmac) {
-    let mut guard = 0;
+    let (t0, bi) = (m.now, mac.bi());
+    let mut wakes = 0;
     while mac.state() == State::Backoff {
         m.fire(mac, TimerKind::BackoffSlot);
-        guard += 1;
-        assert!(guard < 5000, "backoff never completed");
+        wakes += 1;
+        assert!(wakes < 5000, "backoff never completed");
+    }
+    if wakes > 0 {
+        assert_eq!(
+            m.now,
+            t0 + SLOT.mul(bi),
+            "countdown ends on its final boundary"
+        );
+        assert_eq!(mac.bi(), 0);
+        assert_eq!(wakes, if mac.cfg.per_slot_backoff { bi } else { 1 });
     }
 }
 
 fn mac(id: u16) -> Rmac {
-    let mut r = Rmac::new(n(id), MacConfig::default());
+    mac_with(id, false)
+}
+
+fn mac_with(id: u16, per_slot_backoff: bool) -> Rmac {
+    let cfg = MacConfig {
+        per_slot_backoff,
+        ..MacConfig::default()
+    };
+    let mut r = Rmac::new(n(id), cfg);
     // Tests inspect the transition matrix freely; production runs only
     // enable counting when observability attaches.
     r.enable_transition_counting();
@@ -127,25 +147,108 @@ fn rbt_presence_defers_transmission() {
 }
 
 /// Backoff suspends (BACKOFF → IDLE) when a slot boundary finds a busy
-/// channel, retaining BI.
+/// channel, retaining BI: the boundaries before the carrier went busy
+/// tick, the first one after it suspends — lazily or per slot alike.
 #[test]
 fn backoff_suspends_on_busy_slot() {
-    let mut m = Mock::new();
-    m.data_busy = true;
-    let mut r = mac(0);
-    r.submit(&mut m, reliable_req(Dest::Node(n(1)), 1));
-    // Force a known BI by redrawing until it is large enough.
-    m.data_busy = false;
-    r.on_indication(&mut m, &Indication::CarrierOff { node: n(0) });
-    if r.state() != State::Backoff {
-        // BI was drawn 0 — the request transmitted; nothing to suspend.
-        return;
+    for per_slot in [true, false] {
+        // Carrier goes busy before the first boundary, then 2.5 slots in.
+        for (edge_us, ticked) in [(5, 0), (50, 2)] {
+            let mut m = Mock::new();
+            m.data_busy = true;
+            let mut r = mac_with(0, per_slot);
+            r.submit(&mut m, reliable_req(Dest::Node(n(1)), 1));
+            m.data_busy = false;
+            r.on_indication(&mut m, &Indication::CarrierOff { node: n(0) });
+            if r.state() != State::Backoff || r.bi() <= 3 {
+                // BI too small to suspend mid-count with this seed.
+                continue;
+            }
+            let bi_before = r.bi();
+            m.fire_backoff_until(&mut r, SimTime::from_micros(edge_us));
+            m.now = SimTime::from_micros(edge_us);
+            m.data_busy = true;
+            r.on_indication(&mut m, &Indication::CarrierOn { node: n(0) });
+            assert_eq!(r.state(), State::Backoff, "suspension waits for a boundary");
+            m.fire(&mut r, TimerKind::BackoffSlot);
+            assert_eq!(r.state(), State::Idle);
+            assert_eq!(m.now, SLOT.mul(ticked + 1), "first boundary after the edge");
+            assert_eq!(r.bi(), bi_before - ticked, "BI retained on suspension");
+            assert_eq!(r.transition_count(State::Backoff, State::Idle), 1);
+        }
     }
-    let bi_before = r.bi();
-    m.data_busy = true;
-    m.fire(&mut r, TimerKind::BackoffSlot);
-    assert_eq!(r.state(), State::Idle);
-    assert_eq!(r.bi(), bi_before, "BI must be retained on suspension");
+}
+
+/// A busy blip that starts and ends between two boundaries is invisible
+/// to the countdown: the check boundary finds the channel idle again.
+#[test]
+fn busy_blip_between_boundaries_is_invisible() {
+    for per_slot in [true, false] {
+        let mut m = Mock::new();
+        m.data_busy = true;
+        let mut r = mac_with(0, per_slot);
+        r.submit(&mut m, reliable_req(Dest::Node(n(1)), 1));
+        m.data_busy = false;
+        r.on_indication(&mut m, &Indication::CarrierOff { node: n(0) });
+        if r.state() != State::Backoff || r.bi() < 3 {
+            continue;
+        }
+        let bi = r.bi();
+        m.fire_backoff_until(&mut r, SimTime::from_micros(21));
+        m.now = SimTime::from_micros(21);
+        m.data_busy = true;
+        r.on_indication(&mut m, &Indication::CarrierOn { node: n(0) });
+        m.now = SimTime::from_micros(39);
+        m.data_busy = false;
+        r.on_indication(&mut m, &Indication::CarrierOff { node: n(0) });
+        assert_eq!(r.state(), State::Backoff);
+        let mut guard = 0;
+        while r.state() == State::Backoff {
+            m.fire_earliest(&mut r);
+            guard += 1;
+            assert!(guard < 5000);
+        }
+        assert_eq!(r.state(), State::TxMrts);
+        assert_eq!(m.now, SLOT.mul(bi), "no slot lost to the blip");
+        assert_eq!(
+            r.transition_count(State::Backoff, State::Idle),
+            1,
+            "BACKOFF left once, on expiry"
+        );
+    }
+}
+
+/// An RBT rising mid-countdown suspends it like a busy carrier.
+#[test]
+fn rbt_edge_suspends_backoff() {
+    for per_slot in [true, false] {
+        let mut m = Mock::new();
+        m.data_busy = true;
+        let mut r = mac_with(0, per_slot);
+        r.submit(&mut m, reliable_req(Dest::Node(n(1)), 1));
+        m.data_busy = false;
+        r.on_indication(&mut m, &Indication::CarrierOff { node: n(0) });
+        if r.state() != State::Backoff || r.bi() < 3 {
+            continue;
+        }
+        let bi = r.bi();
+        m.fire_backoff_until(&mut r, SimTime::from_micros(30));
+        m.now = SimTime::from_micros(30);
+        m.tone[Tone::Rbt.idx()] = true;
+        r.on_indication(
+            &mut m,
+            &Indication::ToneChanged {
+                node: n(0),
+                tone: Tone::Rbt,
+                present: true,
+            },
+        );
+        m.fire(&mut r, TimerKind::BackoffSlot);
+        assert_eq!(
+            (r.state(), m.now, r.bi()),
+            (State::Idle, SLOT.mul(2), bi - 1)
+        );
+    }
 }
 
 /// Full successful Reliable Send: MRTS → RBT detected → data → all ABTs.
@@ -468,10 +571,10 @@ fn data_reception_delivers_and_replies_abt_in_slot() {
     assert!(m.actions.contains(&Action::ToneOff(Tone::Rbt)));
     assert_eq!(r.state(), State::Idle);
     // ABT must start exactly at slot · l_abt after the data end.
-    let (at, kind, _) = *m
+    let (at, kind, _, _) = *m
         .timers
         .iter()
-        .find(|&&(_, k, _)| k == TimerKind::AbtStart)
+        .find(|&&(_, k, _, _)| k == TimerKind::AbtStart)
         .expect("ABT start timer");
     assert_eq!(kind, TimerKind::AbtStart);
     assert_eq!(at, t_data_end + L_ABT.mul(1));
@@ -496,10 +599,10 @@ fn first_receiver_replies_abt_immediately() {
     );
     let t_end = m.now;
     m.rx_frame(&mut r, n(1), data, true);
-    let (at, _, _) = *m
+    let (at, _, _, _) = *m
         .timers
         .iter()
-        .find(|&&(_, k, _)| k == TimerKind::AbtStart)
+        .find(|&&(_, k, _, _)| k == TimerKind::AbtStart)
         .unwrap();
     assert_eq!(at, t_end);
 }
@@ -635,9 +738,14 @@ fn mrts_reception_cancels_backoff() {
     if r.state() != State::Backoff {
         return; // BI drew 0; nothing to test
     }
+    let bi = r.bi();
+    let passed = if bi > 2 { 2 } else { 0 };
+    m.now = SLOT.mul(passed) + SimTime::from_micros(5);
     m.rx_frame(&mut r, n(2), Frame::mrts(n(0), vec![n(2)]), true);
     assert_eq!(r.state(), State::WfRdata);
-    // The pending backoff slot must be stale now.
+    // The boundaries that passed are charged; the rest of BI waits.
+    assert_eq!(r.bi(), bi - passed);
+    // The pending backoff wake-up must be stale now.
     m.fire(&mut r, TimerKind::BackoffSlot);
     assert_eq!(r.state(), State::WfRdata);
 }
@@ -758,7 +866,7 @@ fn duplicate_listing_uses_first_slot() {
     let starts: Vec<_> = m
         .timers
         .iter()
-        .filter(|&&(_, k, _)| k == TimerKind::AbtStart)
+        .filter(|&&(_, k, _, _)| k == TimerKind::AbtStart)
         .collect();
     assert_eq!(starts.len(), 1);
     assert_eq!(starts[0].0, t_end, "slot 0 ⇒ immediate ABT");
@@ -817,10 +925,10 @@ fn cancelled_wf_rdata_timer_is_inert() {
     let mut m = Mock::new();
     let mut r = mac(2);
     m.rx_frame(&mut r, n(2), Frame::mrts(n(0), vec![n(2)]), true);
-    let (at, kind, gen) = *m
+    let (at, kind, gen, _) = *m
         .timers
         .iter()
-        .find(|&&(_, k, _)| k == TimerKind::WfRdata)
+        .find(|&&(_, k, _, _)| k == TimerKind::WfRdata)
         .unwrap();
     // First bit arrives → timer cancelled.
     r.on_indication(&mut m, &Indication::CarrierOn { node: n(2) });

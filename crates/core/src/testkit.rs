@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rmac_phy::{Indication, Tone, ToneLog};
-use rmac_sim::{SimRng, SimTime};
+use rmac_sim::{EventKey, SimRng, SimTime, Tie};
 use rmac_wire::consts::L_ABT;
 use rmac_wire::{Frame, FrameKind, NodeId};
 
@@ -34,14 +34,23 @@ pub enum Action {
 pub struct Mock {
     /// The mock clock; advanced by `fire`/`finish_tx`.
     pub now: SimTime,
+    /// The key of the timer being fired. Outside a firing (`key.time !=
+    /// now`) the dispatch key is a plain event pushed at `now`, as the
+    /// engine's same-instant PHY arrivals are.
+    pub key: EventKey,
+    /// Clock skew applied to every timer delay, in ppm (the engine's
+    /// per-node clock-skew fault).
+    pub skew_ppm: f64,
+    /// Sequence numbers for the keys of pushed timers.
+    seq: u64,
     /// Scripted physical carrier sense.
     pub data_busy: bool,
     /// Scripted tone presence, indexed by `Tone::idx()`.
     pub tone: [bool; 2],
     /// Recorded actions, in order.
     pub actions: Vec<Action>,
-    /// Armed timers: (absolute fire time, kind, generation).
-    pub timers: VecDeque<(SimTime, TimerKind, u64)>,
+    /// Armed timers: (absolute fire time, kind, generation, queue key).
+    pub timers: VecDeque<(SimTime, TimerKind, u64, EventKey)>,
     /// Frames delivered up to the (mock) network layer.
     pub delivered: Vec<Arc<Frame>>,
     /// Outcome notifications, in order.
@@ -71,6 +80,9 @@ impl Mock {
     pub fn new() -> Mock {
         Mock {
             now: SimTime::ZERO,
+            key: EventKey::default(),
+            skew_ppm: 0.0,
+            seq: 0,
             data_busy: false,
             tone: [false, false],
             actions: Vec::new(),
@@ -134,32 +146,82 @@ impl Mock {
             .timers
             .iter()
             .enumerate()
-            .filter(|(_, &(_, k, _))| k == kind)
-            .max_by_key(|(_, &(_, _, gen))| gen)
+            .filter(|(_, &(_, k, _, _))| k == kind)
+            .max_by_key(|(_, &(_, _, gen, _))| gen)
             .map(|(i, _)| i)
             .unwrap_or_else(|| panic!("no pending {kind:?} timer: {:?}", self.timers));
-        let (at, k, gen) = self.timers.remove(idx).unwrap();
-        self.now = self.now.max(at);
+        let (k, gen) = self.take(idx);
         mac.on_timer(self, k, gen);
     }
 
-    /// Fire the earliest pending timer of any kind.
+    /// Fire the earliest pending timer of any kind, in queue-key order.
     pub fn fire_earliest<M: MacService>(&mut self, mac: &mut M) {
+        let (_, k, gen) = self.pop_earliest();
+        mac.on_timer(self, k, gen);
+    }
+
+    /// Remove the earliest pending timer (queue-key order) and make it the
+    /// dispatch in progress, without firing it: `(time, kind, gen)`.
+    pub fn pop_earliest(&mut self) -> (SimTime, TimerKind, u64) {
         let idx = self
             .timers
             .iter()
             .enumerate()
-            .min_by_key(|(_, &(at, _, _))| at)
+            .min_by_key(|(_, &(_, _, _, key))| key)
             .map(|(i, _)| i)
             .expect("no pending timer");
-        let (at, k, gen) = self.timers.remove(idx).unwrap();
+        let at = self.timers[idx].0;
+        let (k, gen) = self.take(idx);
+        (at, k, gen)
+    }
+
+    /// Fire, in key order, every pending backoff wake-up due before
+    /// `until` (a per-slot countdown's boundaries; a lazy countdown has
+    /// none unless a busy edge armed a check).
+    pub fn fire_backoff_until<M: MacService>(&mut self, mac: &mut M, until: SimTime) {
+        while let Some(idx) = self
+            .timers
+            .iter()
+            .enumerate()
+            .filter(|(_, &(at, k, _, _))| k == TimerKind::BackoffSlot && at < until)
+            .min_by_key(|(_, &(_, _, _, key))| key)
+            .map(|(i, _)| i)
+        {
+            let (k, gen) = self.take(idx);
+            mac.on_timer(self, k, gen);
+        }
+    }
+
+    /// Play the engine's queue up to the dispatch keyed `key`: fire, in key
+    /// order, every pending timer keyed before it, then make `key` the
+    /// dispatch in progress (for an indication the test feeds next).
+    pub fn advance_to<M: MacService>(&mut self, mac: &mut M, key: EventKey) {
+        while let Some(idx) = self
+            .timers
+            .iter()
+            .enumerate()
+            .filter(|(_, &(_, _, _, k))| k < key)
+            .min_by_key(|(_, &(_, _, _, k))| k)
+            .map(|(i, _)| i)
+        {
+            let (k, gen) = self.take(idx);
+            mac.on_timer(self, k, gen);
+        }
+        self.now = self.now.max(key.time);
+        self.key = key;
+    }
+
+    /// Remove timer `idx` and advance the clock and dispatch key to it.
+    fn take(&mut self, idx: usize) -> (TimerKind, u64) {
+        let (at, k, gen, key) = self.timers.remove(idx).unwrap();
         self.now = self.now.max(at);
-        mac.on_timer(self, k, gen);
+        self.key = key;
+        (k, gen)
     }
 
     /// Whether a timer of `kind` is pending.
     pub fn has_timer(&self, kind: TimerKind) -> bool {
-        self.timers.iter().any(|&(_, k, _)| k == kind)
+        self.timers.iter().any(|&(_, k, _, _)| k == kind)
     }
 
     /// The frame currently on the air.
@@ -200,7 +262,41 @@ impl MacContext for Mock {
         self.now
     }
     fn schedule(&mut self, delay: SimTime, kind: TimerKind, gen: u64) {
-        self.timers.push_back((self.now + delay, kind, gen));
+        let at = self.now + self.local_delay(delay);
+        let key = EventKey::plain(at, self.now, self.seq);
+        self.seq += 1;
+        self.timers.push_back((at, kind, gen, key));
+    }
+    fn local_delay(&self, delay: SimTime) -> SimTime {
+        if self.skew_ppm == 0.0 {
+            delay
+        } else {
+            let f = 1.0 + self.skew_ppm * 1e-6;
+            SimTime::from_nanos((delay.nanos() as f64 * f).round() as u64)
+        }
+    }
+    fn dispatch_key(&self) -> EventKey {
+        if self.key.time == self.now {
+            self.key
+        } else {
+            EventKey::plain(self.now, self.now, (1 << 63) - 1)
+        }
+    }
+    fn schedule_anchored(
+        &mut self,
+        at: SimTime,
+        slot: SimTime,
+        tie: Option<Tie>,
+        kind: TimerKind,
+        gen: u64,
+    ) -> Tie {
+        // The mock does not track instants: every push's ordinal counts
+        // from the start of the test.
+        let tie = tie.unwrap_or_else(|| Tie::open(self.dispatch_key(), slot, 0, self.seq));
+        self.seq += 1;
+        self.timers
+            .push_back((at, kind, gen, EventKey::on_lattice(at, slot, tie)));
+        tie
     }
     fn start_tx(&mut self, frame: Frame) {
         assert!(self.tx_frame.is_none(), "start_tx while transmitting");

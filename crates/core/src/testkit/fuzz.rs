@@ -73,6 +73,20 @@ pub enum FuzzQueue {
     Calendar,
 }
 
+/// How the case's engines count backoff down (mirrors the MAC's
+/// `per_slot_backoff` switch). Every case also runs the per-slot oracle,
+/// so drawing `Lazy` turns the case into a differential test of the lazy
+/// countdown: a report mismatch (ignoring the event count) is its own
+/// finding class.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FuzzBackoff {
+    /// One wake-up per 20 µs slot: the oracle.
+    PerSlot,
+    /// Wake-ups only where the countdown can end or suspend (the
+    /// default).
+    Lazy,
+}
+
 /// One crash/restart window (node index, start ms, duration ms).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FuzzChurn {
@@ -141,6 +155,10 @@ pub struct FuzzScenario {
     /// also run against the serial heap oracle; a queue-kind report
     /// divergence is itself a finding.
     pub queue: FuzzQueue,
+    /// Backoff countdown for the case's engines. Every case is also run
+    /// against the per-slot oracle; an elision divergence is itself a
+    /// finding.
+    pub backoff: FuzzBackoff,
 }
 
 impl FuzzScenario {
@@ -165,7 +183,7 @@ impl FuzzScenario {
             } => format!("islands{}x{}in{:.0}m", clusters, nodes, side_m),
         };
         format!(
-            "{topo}-{:?}-{:.0}pps-{}pkt-{}B-s{}{}{}",
+            "{topo}-{:?}-{:.0}pps-{}pkt-{}B-s{}{}{}{}",
             self.protocol,
             self.rate_pps,
             self.packets,
@@ -176,6 +194,11 @@ impl FuzzScenario {
             match self.queue {
                 FuzzQueue::Calendar => "",
                 FuzzQueue::Heap => "-heap",
+            },
+            // Likewise only the per-slot oracle countdown is tagged.
+            match self.backoff {
+                FuzzBackoff::Lazy => "",
+                FuzzBackoff::PerSlot => "-perslot",
             },
             if self.faults.is_empty() {
                 ""
@@ -249,15 +272,22 @@ pub fn scenario_strategy() -> impl Strategy<Value = FuzzScenario> {
     ]);
     let shards = prop_oneof![Just(1usize), Just(2), Just(4), Just(8)];
     let queue = prop_oneof![Just(FuzzQueue::Calendar), Just(FuzzQueue::Heap)];
+    let backoff = prop_oneof![Just(FuzzBackoff::Lazy), Just(FuzzBackoff::PerSlot)];
     (
         topology_strategy(),
         protocol,
         5.0..60.0,
         (3u64..=30, 50usize..=500),
-        (faults_strategy(), shards, queue),
+        (faults_strategy(), shards, queue, backoff),
     )
         .prop_map(
-            |(topology, protocol, rate_pps, (packets, payload), (faults, shards, queue))| {
+            |(
+                topology,
+                protocol,
+                rate_pps,
+                (packets, payload),
+                (faults, shards, queue, backoff),
+            )| {
                 FuzzScenario {
                     topology,
                     protocol,
@@ -267,6 +297,7 @@ pub fn scenario_strategy() -> impl Strategy<Value = FuzzScenario> {
                     faults,
                     shards,
                     queue,
+                    backoff,
                 }
             },
         )
@@ -330,5 +361,7 @@ mod tests {
         assert!(draws.iter().any(|s| s.shards > 1));
         assert!(draws.iter().any(|s| s.queue == FuzzQueue::Heap));
         assert!(draws.iter().any(|s| s.queue == FuzzQueue::Calendar));
+        assert!(draws.iter().any(|s| s.backoff == FuzzBackoff::Lazy));
+        assert!(draws.iter().any(|s| s.backoff == FuzzBackoff::PerSlot));
     }
 }

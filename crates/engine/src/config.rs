@@ -344,6 +344,15 @@ impl ScenarioConfig {
         self.with_queue(QueueKind::Heap)
     }
 
+    /// Count backoff down with one wake-up per 20 µs slot instead of only
+    /// where the countdown can end or suspend: the per-slot oracle the lazy
+    /// countdown is tested against (DESIGN.md §12). Every report field but
+    /// `events` is bit-identical either way.
+    pub fn with_per_slot_backoff(mut self) -> Self {
+        self.mac.per_slot_backoff = true;
+        self
+    }
+
     /// The interval between source packets.
     pub fn source_interval(&self) -> SimTime {
         SimTime::from_secs_f64(1.0 / self.rate_pps)

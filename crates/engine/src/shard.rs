@@ -55,7 +55,7 @@ use rmac_faults::FaultPlan;
 use rmac_metrics::RunReport;
 use rmac_mobility::{MobilityKind, Pos};
 use rmac_phy::FrameTallies;
-use rmac_sim::{CalendarQueue, EventQueue, SimQueue, SimRng, SimTime};
+use rmac_sim::{CalendarQueue, EventQueue, SimQueue, SimRng, SimTime, Tie};
 
 use crate::config::{Protocol, QueueKind, ScenarioConfig};
 use crate::trace::{TraceEvent, Tracer};
@@ -648,11 +648,13 @@ impl ShardedRunner {
 /// the oracle's global emission order and replay them through the user's
 /// tracer.
 ///
-/// The oracle dispatches events in global `(time, seq)` order, where `seq`
-/// is the push counter at push time; each part dispatched its own slice
-/// of that order, tagging every dispatch with the *part-local* push seq
-/// of the popped event ([`DispatchRec`]). The reconstruction recovers each
-/// local seq's global rank by replaying the push arithmetic:
+/// The oracle dispatches events in global [`EventKey`] order, whose `seq`
+/// is the push counter at push time (for a backoff-lattice event, the
+/// counter at its countdown's first push); each part dispatched its own
+/// slice of that order, logging every dispatch's key with a *part-local*
+/// `seq` ([`DispatchRec`]). The rest of a key is global (times, and lattice
+/// ranks derived from times). The reconstruction recovers each local
+/// seq's global rank by replaying the push arithmetic:
 ///
 /// 1. Seed pushes: the oracle seeds in one fixed enumeration
 ///    ([`seed_slots`]) and a part seeds exactly its owned slots in the
@@ -665,7 +667,8 @@ impl ShardedRunner {
 ///    assignment exactly.
 ///
 /// The walk itself is the standard k-way merge: repeatedly take the part
-/// whose next dispatch record has the smallest `(time, global rank)` key.
+/// whose next dispatch record has the smallest key with its `seq` mapped to
+/// the global rank.
 /// A popped event's rank is always already assigned when its record
 /// reaches the head — its push belongs to an earlier record of the same
 /// part (or to the seeds), and records within a part are consumed in
@@ -688,21 +691,41 @@ fn merge_traces(
         rank_of[pi].push(rank as u64);
     }
     let mut next_rank = seeds.len() as u64;
+    // Per part: the local sequence number at the start of each dispatch
+    // instant, which a lattice key's ordinal counts from.
+    let mut instants: Vec<Vec<(SimTime, u64)>> = vec![Vec::new(); parts.len()];
     let mut cursor = vec![0usize; parts.len()]; // next dispatch record
     let mut emitted = vec![0usize; parts.len()]; // next buffered trace event
     loop {
-        let mut best: Option<(SimTime, u64, usize)> = None;
+        let mut best: Option<(MergeKey, usize)> = None;
         for (pi, cap) in captures.iter().enumerate() {
             if let Some(rec) = cap.log.get(cursor[pi]) {
-                let rank = rank_of[pi][rec.seq as usize];
-                if best.is_none_or(|(bt, br, _)| (rec.t, rank) < (bt, br)) {
-                    best = Some((rec.t, rank, pi));
+                let global = |local: u64| rank_of[pi][local as usize];
+                let key = if rec.key.is_lattice() {
+                    // Global: the time-derived rank; then the first push's
+                    // global rank (a lattice opened at `t0` took local seq
+                    // `instant start + ordinal`).
+                    let tie = Tie::of(rec.key);
+                    let at = instants[pi]
+                        .binary_search_by_key(&tie.t0, |&(t, _)| t)
+                        .expect("lattice opened at a dispatched instant");
+                    let first = instants[pi][at].1 + tie.ordinal;
+                    let rank = Tie { ordinal: 0, ..tie }.word(rec.key.time);
+                    (rec.key.time, rec.key.anchor, rank, global(first))
+                } else {
+                    (rec.key.time, rec.key.anchor, 0, global(rec.key.tie))
+                };
+                if best.is_none_or(|(bk, _)| key < bk) {
+                    best = Some((key, pi));
                 }
             }
         }
-        let Some((_, _, pi)) = best else { break };
+        let Some((_, pi)) = best else { break };
         let rec = captures[pi].log[cursor[pi]];
         cursor[pi] += 1;
+        if instants[pi].last().is_none_or(|&(t, _)| t < rec.key.time) {
+            instants[pi].push((rec.key.time, rank_of[pi].len() as u64));
+        }
         for _ in 0..rec.pushes {
             rank_of[pi].push(next_rank);
             next_rank += 1;
@@ -713,6 +736,11 @@ fn merge_traces(
         emitted[pi] += rec.traces as usize;
     }
 }
+
+/// A dispatch record's position in the oracle's order: time, anchor,
+/// then plain events (`0`) by global sequence number ahead of lattice
+/// events by rank word and their first push's global rank.
+type MergeKey = (SimTime, SimTime, u64, u64);
 
 fn add_tallies(into: &mut FrameTallies, from: &FrameTallies) {
     for (a, b) in into.tx_frames.iter_mut().zip(from.tx_frames) {

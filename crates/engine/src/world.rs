@@ -12,7 +12,7 @@ use rmac_net::{BlessConfig, NetLayer};
 use rmac_obs::{frame_kind_index, ObsReport, Registry, Snapshot};
 use rmac_phy::FrameTallies;
 use rmac_phy::{Channel, ChannelConfig, IndexMode, Indication, PhyEvent, Tone, ToneLog};
-use rmac_sim::{CalendarQueue, EventQueue, SimQueue, SimRng, SimTime};
+use rmac_sim::{CalendarQueue, EventKey, EventQueue, SimQueue, SimRng, SimTime, Tie};
 use rmac_wire::{consts::BYTE_TIME, Dest, Frame, NodeId};
 
 use crate::config::{Protocol, QueueKind, ScenarioConfig};
@@ -198,26 +198,53 @@ struct Ctx<'a, Q: SimQueue<Ev>> {
     outcomes: &'a mut Vec<(u64, TxOutcome)>,
 }
 
+impl<Q: SimQueue<Ev>> Ctx<'_, Q> {
+    /// This node's timer event, counted as armed when obs is attached.
+    fn timer_event(&mut self, kind: TimerKind, gen: u64) -> Ev {
+        let node = self.node;
+        if let Some(obs) = self.core.obs.as_mut() {
+            obs.nodes[node.idx()].timer_arm[timer_idx(kind)] += 1;
+        }
+        Ev::MacTimer {
+            node,
+            kind,
+            gen,
+            epoch: self.core.epochs[node.idx()],
+        }
+    }
+}
+
 impl<Q: SimQueue<Ev>> MacContext for Ctx<'_, Q> {
     fn now(&self) -> SimTime {
         self.core.q.now()
     }
     fn schedule(&mut self, delay: SimTime, kind: TimerKind, gen: u64) {
-        let node = self.node;
-        let delay = self.core.skewed(node, delay);
-        let epoch = self.core.epochs[node.idx()];
-        if let Some(obs) = self.core.obs.as_mut() {
-            obs.nodes[node.idx()].timer_arm[timer_idx(kind)] += 1;
-        }
-        self.core.q.push_after(
-            delay,
-            Ev::MacTimer {
-                node,
-                kind,
-                gen,
-                epoch,
-            },
-        );
+        let delay = self.core.skewed(self.node, delay);
+        let ev = self.timer_event(kind, gen);
+        self.core.q.push_after(delay, ev);
+    }
+    fn local_delay(&self, delay: SimTime) -> SimTime {
+        self.core.skewed(self.node, delay)
+    }
+    fn dispatch_key(&self) -> EventKey {
+        self.core.q.current_key()
+    }
+    fn schedule_anchored(
+        &mut self,
+        at: SimTime,
+        slot: SimTime,
+        tie: Option<Tie>,
+        kind: TimerKind,
+        gen: u64,
+    ) -> Tie {
+        let q = &self.core.q;
+        let tie =
+            tie.unwrap_or_else(|| Tie::open(q.current_key(), slot, q.instant_seq(), q.next_seq()));
+        let ev = self.timer_event(kind, gen);
+        self.core
+            .q
+            .push_keyed(EventKey::on_lattice(at, slot, tie), ev);
+        tie
     }
     fn start_tx(&mut self, frame: Frame) {
         if let Some(chk) = self.core.check.as_mut() {
@@ -316,6 +343,16 @@ pub struct Runner<Q: SimQueue<Ev> = CalendarQueue<Ev>> {
     /// Events dispatched and final clock of the parts a shard group has
     /// already run on this world ([`Runner::begin_part`]).
     retired: (u64, SimTime),
+    /// The previous dispatch's key (debug builds check the anchored-key
+    /// contract against it).
+    last_key: EventKey,
+    /// Time of the latest dispatch that was not a backoff wake-up, and the
+    /// per-slot backoff horizon of MAC incarnations a restart replaced,
+    /// crash keys per node: what [`Runner::final_clock`] rebuilds the
+    /// per-slot engine's final clock from.
+    last_plain: SimTime,
+    replaced_horizon: SimTime,
+    crash_keys: Vec<EventKey>,
 }
 
 impl Runner<CalendarQueue<Ev>> {
@@ -364,10 +401,9 @@ impl Runner<EventQueue<Ev>> {
 /// [`Runner::run_loop_logged`]).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct DispatchRec {
-    /// Dispatch time (the popped event's timestamp).
-    pub(crate) t: SimTime,
-    /// The popped event's part-local tie-break sequence number.
-    pub(crate) seq: u64,
+    /// The popped event's key. Its sequence numbers (a plain key's tie, a
+    /// lattice key's opening instant) are part-local.
+    pub(crate) key: EventKey,
     /// Pushes the dispatch made (each gets the next local seq, in order).
     pub(crate) pushes: u32,
     /// Trace events the dispatch emitted into the group's buffer.
@@ -486,6 +522,10 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 })
             },
             inds_scratch: Vec::new(),
+            last_key: EventKey::default(),
+            last_plain: SimTime::ZERO,
+            replaced_horizon: SimTime::ZERO,
+            crash_keys: vec![EventKey::default(); cfg.nodes],
             scope: None,
             beacon_plan,
             retired: (0, SimTime::ZERO),
@@ -509,6 +549,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         self.retired.1 = self.retired.1.max(done.now());
         self.core.channel.retire_in_flight();
         self.scope = Some(Scope { owned });
+        self.last_key = EventKey::default();
     }
 
     /// Whether this runner owns channel slot `slot` (always true for the
@@ -795,8 +836,8 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         let end = self.cfg.end_time();
         let mut log = Vec::new();
         let mut traced = 0u32;
-        while let Some((t, seq)) = self.core.q.peek_key() {
-            if t > end {
+        while let Some(key) = self.core.q.peek_key() {
+            if key.time > end {
                 break;
             }
             let pushed_before = self.core.q.total_pushed();
@@ -804,8 +845,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             self.dispatch(ev);
             let traced_now = buf.lock().expect("trace buffer poisoned").len() as u32;
             log.push(DispatchRec {
-                t,
-                seq,
+                key,
                 pushes: (self.core.q.total_pushed() - pushed_before) as u32,
                 traces: traced_now - traced,
             });
@@ -852,6 +892,21 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         }
     }
 
+    /// The anchored-key contract (DESIGN.md §12): no plain event ties a
+    /// backoff-lattice event on `(time, anchor)`, i.e. none is pushed
+    /// exactly one skewed slot ahead. Such a tie pops the two adjacently,
+    /// so comparing each dispatch with the previous one catches it.
+    #[cfg(debug_assertions)]
+    fn check_anchor_contract(&mut self) {
+        let (prev, cur) = (self.last_key, self.core.q.current_key());
+        debug_assert!(
+            (prev.time, prev.anchor) != (cur.time, cur.anchor)
+                || prev.is_lattice() == cur.is_lattice(),
+            "plain and lattice events tie on (time, anchor): {prev:?} {cur:?}"
+        );
+        self.last_key = cur;
+    }
+
     /// Dispatch one event, profiled when instrumentation is attached.
     fn dispatch_observed(&mut self, ev: Ev) {
         let Some(obs) = self.core.obs.as_deref_mut() else {
@@ -878,6 +933,18 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
 
     #[inline(always)]
     fn dispatch(&mut self, ev: Ev) {
+        #[cfg(debug_assertions)]
+        self.check_anchor_contract();
+        if !matches!(
+            ev,
+            Ev::MacTimer {
+                kind: TimerKind::BackoffSlot,
+                ..
+            }
+        ) {
+            // A max, not the clock: a shard group's parts each restart it.
+            self.last_plain = self.last_plain.max(self.core.q.now());
+        }
         match ev {
             Ev::Phy(pe) => {
                 let now = self.core.q.now();
@@ -985,6 +1052,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             FaultEv::NodeDown { node } => {
                 self.trace(node, TraceWhat::Fault { label: "crash" });
                 self.core.down[node.idx()] = true;
+                self.crash_keys[node.idx()] = self.core.q.current_key();
                 if let Some(f) = self.faults.as_mut() {
                     f.crashes += 1;
                 }
@@ -1011,6 +1079,9 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 // network entities, and a bumped epoch so the dead
                 // incarnation's timers cannot reach the new one.
                 self.core.epochs[node.idx()] = self.core.epochs[node.idx()].wrapping_add(1);
+                let dead = self.macs[node.idx()]
+                    .backoff_horizon(self.crash_keys[node.idx()], self.cfg.end_time());
+                self.replaced_horizon = self.replaced_horizon.max(dead);
                 self.macs[node.idx()] = self.protocol.make_mac(node, self.cfg.mac);
                 if self.core.obs.is_some() || self.core.check.is_some() {
                     // Keep the revived incarnation observable too.
@@ -1325,13 +1396,45 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             frames: self.core.channel.frame_tallies(),
             faults_injected: self.core.channel.faults_injected(),
             events: self.retired.0 + self.core.q.total_popped(),
-            now: self.retired.1.max(self.core.q.now()),
+            now: self.final_clock(),
             packets_sent: self.cfg.packets - self.packets_left,
             crashes: self.faults.as_ref().map_or(0, |f| f.crashes),
             jam_bursts: self.faults.as_ref().map_or(0, |f| f.jam_bursts),
             nets: self.nets,
             counters: self.core.counters,
         }
+    }
+
+    /// The clock at the end of the run, as the per-slot backoff engine
+    /// leaves it: the time of its last dispatched event. Lazy backoff
+    /// elides slot events and leaves stale wake-ups of its own, so its
+    /// queue clock is rebuilt instead from the last other dispatch and
+    /// every MAC's per-slot backoff horizon. The per-slot run checks the
+    /// rebuild against its real clock in debug builds.
+    fn final_clock(&self) -> SimTime {
+        let end = self.cfg.end_time();
+        let at_end = EventKey {
+            time: end,
+            anchor: SimTime::MAX,
+            tie: u64::MAX,
+        };
+        let rebuilt = self.macs.iter().enumerate().fold(
+            self.last_plain.max(self.replaced_horizon),
+            |h, (i, mac)| {
+                let stop = if self.core.down[i] {
+                    self.crash_keys[i]
+                } else {
+                    at_end
+                };
+                h.max(mac.backoff_horizon(stop, end))
+            },
+        );
+        if !self.cfg.mac.per_slot_backoff {
+            return rebuilt;
+        }
+        let clock = self.retired.1.max(self.core.q.now());
+        debug_assert_eq!(rebuilt, clock, "per-slot clock rebuild drifted");
+        clock
     }
 
     fn collect(self, seed: u64) -> RunReport {

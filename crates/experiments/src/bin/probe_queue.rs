@@ -7,7 +7,8 @@
 //! probe_queue [calendar|heap|mix] [reps]
 //! ```
 //!
-//! `mix` runs once with the kernel profiler attached and prints the
+//! `mix` runs once per backoff countdown (lazy, then the per-slot
+//! oracle) with the kernel profiler attached and prints the
 //! per-event-class dispatch counts instead of wall times.
 
 use std::time::Instant;
@@ -34,14 +35,37 @@ fn main() {
         .with_queue(queue);
     cfg.bounds = Bounds::new(500.0 * scale, 300.0 * scale);
     if mode == "mix" {
-        let obs = ObsConfig {
-            snapshot_period: None,
-            kernel_wall: false,
-        };
-        let (report, obs, _) =
-            run_replication_instrumented(&cfg, Protocol::Rmac, 1, &FaultPlan::none(), Some(obs));
-        let obs = obs.expect("kernel profile requested");
-        println!("{} events total", report.events);
+        for (countdown, cfg) in [
+            ("lazy", cfg.clone()),
+            ("per-slot", cfg.clone().with_per_slot_backoff()),
+        ] {
+            print_mix(countdown, &cfg);
+        }
+        return;
+    }
+    for rep in 0..reps {
+        let t0 = Instant::now();
+        let r = run_replication(&cfg, Protocol::Rmac, 1);
+        println!(
+            "{} rep {rep}: {:.3} s, {} events",
+            queue.label(),
+            t0.elapsed().as_secs_f64(),
+            r.events
+        );
+    }
+}
+
+/// One instrumented replication's event mix and timer tallies.
+fn print_mix(countdown: &str, cfg: &ScenarioConfig) {
+    let obs = ObsConfig {
+        snapshot_period: None,
+        kernel_wall: false,
+    };
+    let (report, obs, _) =
+        run_replication_instrumented(cfg, Protocol::Rmac, 1, &FaultPlan::none(), Some(obs));
+    let obs = obs.expect("kernel profile requested");
+    {
+        println!("{countdown} backoff: {} events total", report.events);
         for (i, label) in obs.kernel.labels().iter().enumerate() {
             let n = obs.kernel.class_count(i);
             println!(
@@ -55,16 +79,5 @@ fn main() {
             let fired: u64 = obs.nodes.iter().map(|n| n.timer_fire[i]).sum();
             println!("  {label:<14} {armed:>9} / {fired:>9}");
         }
-        return;
-    }
-    for rep in 0..reps {
-        let t0 = Instant::now();
-        let r = run_replication(&cfg, Protocol::Rmac, 1);
-        println!(
-            "{} rep {rep}: {:.3} s, {} events",
-            queue.label(),
-            t0.elapsed().as_secs_f64(),
-            r.events
-        );
     }
 }

@@ -171,7 +171,10 @@ fn main() {
     trace.step("C8: channels idle, BI>0 (→ count down)", &r, before);
     if r.state() == State::Backoff {
         let before = r.state();
+        // The carrier goes busy (a busy edge); the first slot boundary
+        // after it finds the channel busy and suspends the countdown.
         m.data_busy = true;
+        r.on_indication(&mut m, &Indication::CarrierOn { node: n(0) });
         m.fire(&mut r, TimerKind::BackoffSlot);
         trace.step("suspension: slot found channel busy", &r, before);
     }

@@ -14,12 +14,13 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use rmac_core::testkit::fuzz::{FuzzProtocol, FuzzQueue, FuzzScenario, FuzzTopology};
+use rmac_core::testkit::fuzz::{FuzzBackoff, FuzzProtocol, FuzzQueue, FuzzScenario, FuzzTopology};
 use rmac_engine::{
     run_replication_checked, run_replication_sharded_checked, CheckReport, Protocol, QueueKind,
     ScenarioConfig,
 };
 use rmac_faults::{BurstySpec, ChurnKind, ChurnSpec, FaultPlan, JamTarget, JammerSpec, SkewSpec};
+use rmac_metrics::RunReport;
 use rmac_mobility::{Bounds, Pos};
 use rmac_sim::{SimRng, SimTime};
 
@@ -44,6 +45,10 @@ pub enum CaseOutcome {
     /// binary-heap oracle — a scheduler ordering bug in the calendar
     /// queue itself.
     QueueDivergence { queue: &'static str },
+    /// The lazy backoff countdown's report diverged from the per-slot
+    /// oracle's in a field other than the event count — a wake-up elided
+    /// or ordered where the per-slot engine would have acted.
+    ElisionDivergence,
 }
 
 impl CaseOutcome {
@@ -59,6 +64,7 @@ impl CaseOutcome {
             CaseOutcome::Panicked(_) => Some("PANIC".to_string()),
             CaseOutcome::ShardDivergence { .. } => Some("SHARD_DIVERGENCE".to_string()),
             CaseOutcome::QueueDivergence { .. } => Some("QUEUE_DIVERGENCE".to_string()),
+            CaseOutcome::ElisionDivergence => Some("ELISION_DIVERGENCE".to_string()),
         }
     }
 
@@ -73,6 +79,9 @@ impl CaseOutcome {
             }
             CaseOutcome::QueueDivergence { queue } => {
                 format!("serial {queue}-queue report diverged from the binary-heap oracle")
+            }
+            CaseOutcome::ElisionDivergence => {
+                "lazy-backoff report diverged from the per-slot oracle".to_string()
             }
         }
     }
@@ -128,6 +137,7 @@ pub fn materialize(fs: &FuzzScenario) -> (ScenarioConfig, Protocol, FaultPlan) {
         FuzzQueue::Heap => QueueKind::Heap,
         FuzzQueue::Calendar => QueueKind::Calendar,
     };
+    cfg.mac.per_slot_backoff = fs.backoff == FuzzBackoff::PerSlot;
 
     let nodes = fs.nodes() as u16;
     let jam_pos = match fs.topology {
@@ -194,6 +204,15 @@ pub fn materialize(fs: &FuzzScenario) -> (ScenarioConfig, Protocol, FaultPlan) {
     (cfg, protocol, plan)
 }
 
+/// Whether two reports agree in every field but the event count (the
+/// one field backoff elision is allowed to move).
+fn same_but_events(a: &RunReport, b: &RunReport) -> bool {
+    RunReport {
+        events: b.events,
+        ..a.clone()
+    } == *b
+}
+
 /// Run one fuzz case under the conformance checker — through the
 /// single-queue oracle *and* the sharded engine at the case's shard
 /// count, with the C1–C5 invariants checked on every shard group. Panics
@@ -203,21 +222,40 @@ pub fn materialize(fs: &FuzzScenario) -> (ScenarioConfig, Protocol, FaultPlan) {
 pub fn run_case(fs: &FuzzScenario, seed: u64) -> CaseOutcome {
     let (cfg, protocol, plan) = materialize(fs);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        // The serial binary-heap run is always the ground truth. When the
-        // case drew the calendar queue, a second serial run exercises it
-        // differentially; for heap cases that run would be the oracle
-        // again, so it is skipped.
-        let oracle = run_replication_checked(&cfg.clone().with_heap_queue(), protocol, seed, &plan);
+        // The serial binary-heap per-slot run is always the ground truth.
+        // When the case drew the lazy countdown, a serial heap run with it
+        // is checked against that oracle (all fields but the event count)
+        // and becomes the reference for the queue and shard checks. When
+        // the case drew the calendar queue, a second serial run exercises
+        // it differentially; for heap cases that run would be the
+        // reference again, so it is skipped.
+        let heap = cfg.clone().with_heap_queue();
+        let oracle =
+            run_replication_checked(&heap.clone().with_per_slot_backoff(), protocol, seed, &plan);
+        let elided = (fs.backoff == FuzzBackoff::Lazy)
+            .then(|| run_replication_checked(&heap, protocol, seed, &plan));
         let case_queue = (cfg.queue != QueueKind::Heap)
             .then(|| run_replication_checked(&cfg, protocol, seed, &plan));
         let sharded = run_replication_sharded_checked(&cfg, protocol, seed, &plan);
-        (oracle, case_queue, sharded)
+        (oracle, elided, case_queue, sharded)
     }));
     match result {
-        Ok(((oracle_report, check), case_queue, (sharded_report, sharded_check))) => {
+        Ok(((oracle_report, check), elided, case_queue, (sharded_report, sharded_check))) => {
             if !check.is_clean() {
                 return CaseOutcome::Violations(check);
             }
+            let oracle_report = match elided {
+                Some((elided_report, elided_check)) => {
+                    if !elided_check.is_clean() {
+                        return CaseOutcome::Violations(elided_check);
+                    }
+                    if !same_but_events(&elided_report, &oracle_report) {
+                        return CaseOutcome::ElisionDivergence;
+                    }
+                    elided_report
+                }
+                None => oracle_report,
+            };
             if let Some((queue_report, queue_check)) = case_queue {
                 if !queue_check.is_clean() {
                     return CaseOutcome::Violations(queue_check);
@@ -341,6 +379,13 @@ fn reductions(fs: &FuzzScenario) -> Vec<FuzzScenario> {
         c.queue = FuzzQueue::Heap;
         out.push(c);
     }
+    // Likewise the per-slot countdown: an ELISION_DIVERGENCE never
+    // survives it.
+    if fs.backoff == FuzzBackoff::Lazy {
+        let mut c = fs.clone();
+        c.backoff = FuzzBackoff::PerSlot;
+        out.push(c);
+    }
     out
 }
 
@@ -417,6 +462,7 @@ pub fn repro_json(fs: &FuzzScenario, seed: u64, signature: &str, detail: &str) -
             "  \"payload\": {},\n",
             "  \"shards\": {},\n",
             "  \"queue\": \"{}\",\n",
+            "  \"backoff\": \"{}\",\n",
             "  \"fault_plan\": {},\n",
             "  \"detail\": \"{}\"\n",
             "}}\n"
@@ -433,6 +479,10 @@ pub fn repro_json(fs: &FuzzScenario, seed: u64, signature: &str, detail: &str) -
         match fs.queue {
             FuzzQueue::Heap => "heap",
             FuzzQueue::Calendar => "calendar",
+        },
+        match fs.backoff {
+            FuzzBackoff::PerSlot => "per_slot",
+            FuzzBackoff::Lazy => "lazy",
         },
         plan.to_json(),
         json_escape(detail),
@@ -484,6 +534,7 @@ mod tests {
             },
             shards: 2,
             queue,
+            backoff: FuzzBackoff::Lazy,
         }
     }
 
@@ -544,6 +595,28 @@ mod tests {
         }
     }
 
+    /// The elision axis is live: a lazy case runs the per-slot oracle
+    /// too and matches it, a per-slot case skips that run, and shrinking
+    /// can fall back to the per-slot countdown.
+    #[test]
+    fn elision_axis_is_checked_and_shrinkable() {
+        let mut fs = mutant_cluster();
+        fs.protocol = FuzzProtocol::Bmmm;
+        assert!(run_case(&fs, 4).signature().is_none());
+        let (cfg, _, _) = materialize(&fs);
+        assert!(!cfg.mac.per_slot_backoff);
+        assert!(reductions(&fs)
+            .iter()
+            .any(|c| c.backoff == FuzzBackoff::PerSlot));
+        fs.backoff = FuzzBackoff::PerSlot;
+        assert!(materialize(&fs).0.mac.per_slot_backoff);
+        assert!(fs.label().ends_with("-perslot-faulty"));
+        assert!(run_case(&fs, 4).signature().is_none());
+        assert!(!reductions(&fs)
+            .iter()
+            .any(|c| c.backoff == FuzzBackoff::Lazy));
+    }
+
     /// Islands are the fuzzer's multi-group cases: the sharded run packs
     /// their components into more than one group (so a SHARD_DIVERGENCE
     /// is a live finding class, not a vacuous one) and still matches the
@@ -563,6 +636,7 @@ mod tests {
             faults: FuzzFaults::default(),
             shards: 2,
             queue: FuzzQueue::Calendar,
+            backoff: FuzzBackoff::Lazy,
         };
         let (cfg, protocol, plan) = materialize(&fs);
         assert_eq!(cfg.nodes, 9);
@@ -581,6 +655,7 @@ mod tests {
         assert!(json.contains("\"signature\": \"C1\""));
         assert!(json.contains("\"cluster\""));
         assert!(json.contains("\"queue\": \"calendar\""));
+        assert!(json.contains("\"backoff\": \"lazy\""));
         assert!(json.contains("\"fault_plan\""));
         assert_eq!(
             json.matches('{').count(),

@@ -37,7 +37,7 @@ use rmac_core::{
     MacConfig, MacContext, MacCounters, MacService, Rmac, State, TimerKind, TxOutcome, TxRequest,
 };
 use rmac_phy::{Indication, Tone, ToneLog};
-use rmac_sim::{SimRng, SimTime};
+use rmac_sim::{EventKey, SimRng, SimTime, Tie};
 use rmac_wire::datagram::{DGRAM_TONE_ABT, DGRAM_TONE_RBT};
 use rmac_wire::{
     codec, decode_datagram, encode_datagram, Datagram, Dest, DgramBody, Frame, NodeId,
@@ -130,6 +130,12 @@ struct Watch {
 struct LiveCtx {
     id: NodeId,
     now: SimTime,
+    /// The key of the dispatch in progress: a fired wheel entry's, or, for
+    /// a datagram or a submission, a plain key after every timer due at
+    /// `now` (the runners fire due timers before arrivals).
+    key: EventKey,
+    /// The wheel's sequence number when the dispatch instant began.
+    instant_seq: u64,
     rng: SimRng,
     counters: MacCounters,
     neighbors: Vec<NodeId>,
@@ -170,6 +176,26 @@ struct LiveCtx {
 }
 
 impl LiveCtx {
+    /// Schedule `fire` at `at`, keyed as a plain push at `now`.
+    fn timer(&mut self, at: SimTime, fire: Fire) {
+        let key = EventKey::plain(at, self.now, self.wheel.next_seq());
+        self.wheel.push_keyed(key, fire);
+    }
+
+    /// Enter the dispatch keyed `key`.
+    fn enter(&mut self, key: EventKey) {
+        if key.time != self.key.time {
+            self.instant_seq = self.wheel.next_seq();
+        }
+        self.key = key;
+    }
+
+    /// Enter a dispatch that is not a wheel entry (a datagram or a
+    /// submission) at `now`: after every timer due at this instant.
+    fn enter_external(&mut self) {
+        self.enter(EventKey::plain(self.now, self.now, (1 << 63) - 1));
+    }
+
     fn push_dgram(&mut self, body: DgramBody, to: Option<NodeId>) {
         let d = Datagram {
             src: self.id,
@@ -244,7 +270,26 @@ impl MacContext for LiveCtx {
     }
 
     fn schedule(&mut self, delay: SimTime, kind: TimerKind, gen: u64) {
-        self.wheel.schedule(self.now + delay, Fire::Mac(kind, gen));
+        self.timer(self.now + delay, Fire::Mac(kind, gen));
+    }
+
+    fn dispatch_key(&self) -> EventKey {
+        self.key
+    }
+
+    fn schedule_anchored(
+        &mut self,
+        at: SimTime,
+        slot: SimTime,
+        tie: Option<Tie>,
+        kind: TimerKind,
+        gen: u64,
+    ) -> Tie {
+        let tie = tie
+            .unwrap_or_else(|| Tie::open(self.key, slot, self.instant_seq, self.wheel.next_seq()));
+        self.wheel
+            .push_keyed(EventKey::on_lattice(at, slot, tie), Fire::Mac(kind, gen));
+        tie
     }
 
     fn start_tx(&mut self, frame: Frame) {
@@ -271,8 +316,7 @@ impl MacContext for LiveCtx {
         let ctr = self.dgram_counter;
         self.push_dgram(DgramBody::Frame(bytes), None);
         let epoch = self.tx_epoch;
-        self.wheel
-            .schedule(self.now + frame.airtime(), Fire::TxDone { epoch });
+        self.timer(self.now + frame.airtime(), Fire::TxDone { epoch });
         self.cur_tx = Some(frame);
         self.cur_tx_ctr = Some(ctr);
     }
@@ -406,7 +450,7 @@ pub struct LiveNode {
     /// arrives, keeping the set bounded over arbitrarily long runs.
     aborted_rx: Vec<(NodeId, u32)>,
     /// Scratch buffer for wheel firings.
-    fired: Vec<(SimTime, Fire)>,
+    fired: Vec<(EventKey, Fire)>,
 }
 
 impl LiveNode {
@@ -417,6 +461,8 @@ impl LiveNode {
             ctx: LiveCtx {
                 id,
                 now: SimTime::ZERO,
+                key: EventKey::default(),
+                instant_seq: 0,
                 rng: SimRng::new(cfg.seed),
                 counters: MacCounters::default(),
                 neighbors: cfg.neighbors,
@@ -482,6 +528,7 @@ impl LiveNode {
 
     /// Accept an upper-layer transmit request.
     pub fn submit(&mut self, req: TxRequest) {
+        self.ctx.enter_external();
         self.mac.submit(&mut self.ctx, req);
         self.drain_pending();
     }
@@ -497,8 +544,8 @@ impl LiveNode {
             let mut fired = std::mem::take(&mut self.fired);
             fired.clear();
             self.ctx.wheel.advance(d, &mut fired);
-            for (at, fire) in fired.drain(..) {
-                self.dispatch(at, fire);
+            for (key, fire) in fired.drain(..) {
+                self.dispatch(key, fire);
             }
             self.fired = fired;
         }
@@ -510,6 +557,7 @@ impl LiveNode {
     /// first so timers and arrivals interleave in time order).
     pub fn on_datagram(&mut self, inc: &Incoming) {
         self.ctx.now = self.ctx.now.max(inc.at);
+        self.ctx.enter_external();
         let d = match decode_datagram(&inc.bytes) {
             Ok(d) => d,
             Err(_) => {
@@ -618,7 +666,7 @@ impl LiveNode {
                 .push_back(Indication::CarrierOn { node: self.ctx.id });
         }
         let end = self.ctx.now + frame.airtime();
-        self.ctx.wheel.schedule(
+        self.ctx.timer(
             end,
             Fire::RxEnd {
                 frame,
@@ -629,8 +677,9 @@ impl LiveNode {
         );
     }
 
-    fn dispatch(&mut self, at: SimTime, fire: Fire) {
-        self.ctx.now = self.ctx.now.max(at);
+    fn dispatch(&mut self, key: EventKey, fire: Fire) {
+        self.ctx.now = self.ctx.now.max(key.time);
+        self.ctx.enter(key);
         match fire {
             Fire::Mac(kind, gen) => {
                 self.mac.on_timer(&mut self.ctx, kind, gen);

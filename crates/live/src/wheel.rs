@@ -15,24 +15,25 @@
 //! * entries remember their *exact* [`SimTime`] (the wheel's 1 µs tick
 //!   only buckets them) — RMAC's tone windows have ±2 µs margins, so
 //!   firing at tick granularity would be a protocol change;
-//! * simultaneous entries fire in insertion order (a global sequence
-//!   number), the same FIFO tie-break as `rmac_sim::EventQueue`, so a
-//!   loopback run is reproducible event for event.
+//! * simultaneous entries fire in [`EventKey`] order — insertion order
+//!   (a global sequence number) for plain entries, the same FIFO
+//!   tie-break as `rmac_sim::EventQueue`, while an anchored entry (a lazy
+//!   backoff wake-up) sorts at its anchor — so a loopback run is
+//!   reproducible event for event.
 //!
 //! Each level keeps a 64-bit occupancy bitmap; finding the next occupied
 //! slot is a rotate + trailing-zeros, so `next_deadline` costs O(levels)
 //! plus a scan of the few entries in the earliest slot of each level.
 
-use rmac_sim::SimTime;
+use rmac_sim::{EventKey, SimTime};
 
 const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS; // 64
 const LEVELS: usize = 6;
 
 struct Entry<T> {
-    at: SimTime,
+    key: EventKey,
     tick: u64,
-    seq: u64,
     item: T,
 }
 
@@ -112,22 +113,29 @@ impl<T> TimerWheel<T> {
         self.now
     }
 
-    /// Schedule `item` at absolute time `at`. Times not after `now` fire
-    /// on the next `advance` call (they are clamped to `now`, the same
-    /// contract as the event queue).
+    /// Schedule `item` at absolute time `at`, keyed as a plain push at the
+    /// wheel's current time. Times not after `now` fire on the next
+    /// `advance` call (they are clamped to `now`, the same contract as the
+    /// event queue).
     pub fn schedule(&mut self, at: SimTime, item: T) {
-        let at = at.max(self.now);
-        let tick = at.nanos() / self.tick_ns;
+        self.push_keyed(EventKey::plain(at, self.now, self.seq), item);
+    }
+
+    /// The sequence number the next push takes.
+    pub fn next_seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Schedule `item` under an explicit key (a plain key anchored at the
+    /// caller's clock, or an anchored backoff wake-up). Takes a sequence
+    /// number like any push.
+    pub fn push_keyed(&mut self, mut key: EventKey, item: T) {
+        key.time = key.time.max(self.now);
+        let tick = key.time.nanos() / self.tick_ns;
         debug_assert!(tick >= self.now_tick);
-        let seq = self.seq;
         self.seq += 1;
         self.len += 1;
-        self.place(Entry {
-            at,
-            tick,
-            seq,
-            item,
-        });
+        self.place(Entry { key, tick, item });
     }
 
     /// Level for a tick: position of the highest bit in which it differs
@@ -244,20 +252,20 @@ impl<T> TimerWheel<T> {
             if let Some(off) = self.levels[l].earliest_offset(now_unit) {
                 let slot = ((now_unit + off) & 63) as usize;
                 for e in &self.levels[l].slots[slot] {
-                    consider(e.at);
+                    consider(e.key.time);
                 }
             }
         }
         for e in &self.overflow {
-            consider(e.at);
+            consider(e.key.time);
         }
         best
     }
 
     /// Advance the wheel to `now`, appending every entry with `at <= now`
-    /// to `out` in `(at, seq)` order. `now` earlier than the current time
-    /// is treated as the current time (clocks never run backwards).
-    pub fn advance(&mut self, now: SimTime, out: &mut Vec<(SimTime, T)>) {
+    /// to `out` in key order, with its key. `now` earlier than the current
+    /// time is treated as the current time (clocks never run backwards).
+    pub fn advance(&mut self, now: SimTime, out: &mut Vec<(EventKey, T)>) {
         let now = now.max(self.now);
         let target_tick = now.nanos() / self.tick_ns;
         loop {
@@ -285,16 +293,16 @@ impl<T> TimerWheel<T> {
                 // The current tick may hold entries later than `now`
                 // within the same tick; keep them pending.
                 let (keep, fire): (Vec<Entry<T>>, Vec<Entry<T>>) =
-                    due.into_iter().partition(|e| e.at > now);
+                    due.into_iter().partition(|e| e.key.time > now);
                 due = fire;
                 if !keep.is_empty() {
                     lv.slots[slot] = keep;
                     lv.occupied |= 1 << slot;
                 }
             }
-            due.sort_by_key(|e| (e.at, e.seq));
+            due.sort_by_key(|e| e.key);
             self.len -= due.len();
-            out.extend(due.into_iter().map(|e| (e.at, e.item)));
+            out.extend(due.into_iter().map(|e| (e.key, e.item)));
             if c == target_tick {
                 break;
             }
@@ -315,7 +323,12 @@ mod tests {
     fn drain(w: &mut TimerWheel<u32>, to: SimTime) -> Vec<(SimTime, u32)> {
         let mut out = Vec::new();
         w.advance(to, &mut out);
-        out
+        times(out)
+    }
+
+    /// Fired entries as `(time, item)`.
+    fn times<T>(fired: Vec<(EventKey, T)>) -> Vec<(SimTime, T)> {
+        fired.into_iter().map(|(k, v)| (k.time, v)).collect()
     }
 
     #[test]
@@ -351,12 +364,15 @@ mod tests {
         let mut w = TimerWheel::default();
         w.schedule(SimTime::from_nanos(1_600), 2);
         w.schedule(SimTime::from_nanos(1_300), 1);
-        let mut out = Vec::new();
-        w.advance(SimTime::from_nanos(1_400), &mut out);
-        assert_eq!(out, vec![(SimTime::from_nanos(1_300), 1)]);
+        assert_eq!(
+            drain(&mut w, SimTime::from_nanos(1_400)),
+            vec![(SimTime::from_nanos(1_300), 1)]
+        );
         assert_eq!(w.next_deadline(), Some(SimTime::from_nanos(1_600)));
-        w.advance(SimTime::from_nanos(2_000), &mut out);
-        assert_eq!(out.last(), Some(&(SimTime::from_nanos(1_600), 2)));
+        assert_eq!(
+            drain(&mut w, SimTime::from_nanos(2_000)),
+            vec![(SimTime::from_nanos(1_600), 2)]
+        );
     }
 
     #[test]
@@ -424,6 +440,29 @@ mod tests {
         assert_eq!(fired, (0..99).collect::<Vec<u32>>());
     }
 
+    #[test]
+    fn due_entries_fire_in_at_anchor_seq_order() {
+        // Three entries due at 100 µs: a plain one pushed at 90 µs, an
+        // anchored one (a lazy backoff wake-up pushed at 0 but anchored at
+        // 80 µs), and a plain one pushed at 50 µs. Key order is
+        // (at, anchor, seq): 50 µs, the anchored one, then 90 µs — not
+        // insertion order.
+        let mut w: TimerWheel<u32> = TimerWheel::default();
+        let tie = rmac_sim::Tie::open(EventKey::default(), us(20), 0, w.next_seq());
+        w.push_keyed(EventKey::on_lattice(us(100), us(20), tie), 1);
+        w.advance(us(50), &mut Vec::new());
+        w.push_keyed(EventKey::plain(us(100), us(50), w.next_seq()), 0);
+        w.advance(us(90), &mut Vec::new());
+        w.push_keyed(EventKey::plain(us(100), us(90), w.next_seq()), 2);
+        // Same instant and anchor: sequence decides.
+        w.push_keyed(EventKey::plain(us(100), us(90), w.next_seq()), 3);
+        let mut out = Vec::new();
+        w.advance(us(100), &mut out);
+        let order: Vec<u32> = out.iter().map(|&(_, v)| v).collect();
+        assert_eq!(order, vec![0, 1, 2, 3]);
+        assert_eq!(out[1].0.anchor, us(80));
+    }
+
     /// Model check: a few thousand pseudo-random schedule/advance ops must
     /// match a sorted-vector reference model exactly, including FIFO order
     /// among equal times. Same xorshift-style fuzz as the event queue's.
@@ -458,6 +497,7 @@ mod tests {
                 now += SimTime::from_nanos(step() % 3_000_000);
                 let mut out = Vec::new();
                 wheel.advance(now, &mut out);
+                let out = times(out);
                 model.sort_by_key(|&(at, s, _)| (at, s));
                 let due: Vec<(SimTime, u64)> = model
                     .iter()
@@ -472,6 +512,7 @@ mod tests {
         // Drain everything.
         let mut out = Vec::new();
         wheel.advance(now + SimTime::from_secs(300), &mut out);
+        let out = times(out);
         model.sort_by_key(|&(at, s, _)| (at, s));
         let rest: Vec<(SimTime, u64)> = model.iter().map(|&(at, _, id)| (at, id)).collect();
         assert_eq!(out, rest);

@@ -10,7 +10,7 @@
 //!
 //! * Virtual time is cut into fixed windows of `2^shift` ns. The **active
 //!   window** `[base, base + width)` is materialised as two structures
-//!   merged at pop time by a single key compare: a `(time, seq)`-sorted
+//!   merged at pop time by a single key compare: an [`EventKey`]-sorted
 //!   **drain buffer** (events that arrived via a bucket; popping is
 //!   `pop_front`) and a small **pending min-heap** (events pushed after the
 //!   window went active — every propagation-delayed PHY arrival lands
@@ -28,10 +28,10 @@
 //!   horizon advances. Far traffic is rare, so its `O(log n)` is harmless.
 //!
 //! Ordering is identical to the heap oracle by construction: every pending
-//! event carries its `(time, seq)` key, keys are strictly unique, each pop
+//! event carries its [`EventKey`], keys are strictly unique, each pop
 //! takes the smaller of the drain buffer's front and the pending heap's
 //! top, and windows drain in ascending order — so the pop stream is the
-//! unique ascending `(time, seq)` order, exactly what the oracle produces,
+//! unique ascending key order, exactly what the oracle produces,
 //! independent of either structure's internal layout. The differential harness
 //! `tests/queue_equivalence.rs` holds the two implementations to identical
 //! pop streams over randomized push/pop schedules, and the
@@ -45,20 +45,20 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
+use crate::key::EventKey;
 use crate::time::SimTime;
 
-/// A pending event with its `(time, seq)` key, reverse-ordered so a
+/// A pending event with its [`EventKey`], reverse-ordered so a
 /// `BinaryHeap` max-heap surfaces the earliest key. Used for the active
 /// window's pending heap, the ring buckets, and the far-overflow heap.
 struct Entry<E> {
-    time: SimTime,
-    seq: u64,
+    key: EventKey,
     event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -71,10 +71,7 @@ impl<E> PartialOrd for Entry<E> {
 
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
@@ -93,22 +90,22 @@ const DEFAULT_NBUCKETS: usize = 1024;
 /// [`EventQueue`](crate::EventQueue).
 ///
 /// Drop-in behind the [`SimQueue`](crate::SimQueue) trait: deterministic
-/// `(time, seq)` FIFO
+/// [`EventKey`] FIFO
 /// tie-breaking for simultaneous events, a monotone clock, the same
 /// past-scheduling clamp/debug-panic, and the same lifetime counters
 /// (`total_pushed` / `total_popped` / `depth_high_water`) feeding rmac-obs.
 pub struct CalendarQueue<E> {
     /// The active window's bucket-drained events, sorted ascending by
-    /// `(time, seq)` and popped from the front.
+    /// key and popped from the front.
     active: VecDeque<Entry<E>>,
     /// Events pushed into the active window after it went active, as a
-    /// `(time, seq)` min-heap. Merged with `active` at pop/peek time.
+    /// key min-heap. Merged with `active` at pop/peek time.
     pending: BinaryHeap<Entry<E>>,
     /// Ring of unsorted future windows; window at offset `d` from the
-    /// active one (`1 ≤ d < nbuckets`) lives at index `(cur + d) & mask`.
+    /// active one (`1 ≤ d < nbuckets`) lives at index `(ring + d) & mask`.
     buckets: Vec<Vec<Entry<E>>>,
     /// Ring index of the active window.
-    cur: usize,
+    ring: usize,
     /// `buckets.len() - 1` (ring size is a power of two).
     mask: usize,
     /// Start of the active window, ns.
@@ -117,12 +114,15 @@ pub struct CalendarQueue<E> {
     shift: u32,
     /// Events currently resident in ring buckets.
     ring_len: usize,
-    /// Events at or beyond the ring horizon, earliest `(time, seq)` first.
+    /// Events at or beyond the ring horizon, earliest key first.
     far: BinaryHeap<Entry<E>>,
     /// Total pending events (active + ring + far).
     len: usize,
     next_seq: u64,
-    now: SimTime,
+    /// The key of the most recently popped event (the clock is its time).
+    cur: EventKey,
+    /// The sequence number the first push of the current instant took.
+    instant_seq: u64,
     pushed: u64,
     popped: u64,
     high_water: usize,
@@ -169,7 +169,7 @@ impl<E> CalendarQueue<E> {
             active: VecDeque::new(),
             pending: BinaryHeap::new(),
             buckets: (0..nbuckets).map(|_| Vec::new()).collect(),
-            cur: 0,
+            ring: 0,
             mask: nbuckets - 1,
             base: 0,
             shift,
@@ -177,7 +177,8 @@ impl<E> CalendarQueue<E> {
             far: BinaryHeap::new(),
             len: 0,
             next_seq: 0,
-            now: SimTime::ZERO,
+            cur: EventKey::default(),
+            instant_seq: 0,
             pushed: 0,
             popped: 0,
             high_water: 0,
@@ -202,38 +203,64 @@ impl<E> CalendarQueue<E> {
     /// clock).
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.cur.time
     }
 
-    /// Schedule `event` at absolute time `at`.
+    /// The key of the most recently popped event (the dispatch in
+    /// progress).
+    #[inline]
+    pub fn current_key(&self) -> EventKey {
+        self.cur
+    }
+
+    /// The sequence number the next push takes.
+    #[inline]
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// The sequence number the first push since the clock reached its
+    /// current instant took (or will take).
+    #[inline]
+    pub fn instant_seq(&self) -> u64 {
+        self.instant_seq
+    }
+
+    /// Schedule `event` at absolute time `at`, keyed as a plain push at the
+    /// current clock.
     ///
     /// Scheduling in the past is clamped to the current clock in release
     /// builds and panics in debug builds, exactly like the heap oracle.
+    #[inline]
     pub fn push(&mut self, at: SimTime, event: E) {
-        debug_assert!(
-            at >= self.now,
-            "event scheduled in the past: at={at} now={now}",
-            at = at,
-            now = self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.push_keyed(at.max(self.now), seq, event);
+        let key = EventKey::plain(at, self.cur.time, self.next_seq);
+        self.push_keyed(key, event);
     }
 
     /// Schedule `event` after a relative delay from the current clock.
     #[inline]
     pub fn push_after(&mut self, delay: SimTime, event: E) {
-        self.push(self.now + delay, event);
+        self.push(self.cur.time + delay, event);
     }
 
-    fn push_keyed(&mut self, at: SimTime, seq: u64, event: E) {
+    /// Schedule `event` under an explicit key (an anchored push). The push
+    /// still takes the next sequence number, so sequence numbers keep
+    /// counting pushes.
+    pub fn push_keyed(&mut self, mut key: EventKey, event: E) {
+        let now = self.cur.time;
+        debug_assert!(
+            key.time >= now,
+            "event scheduled in the past: at={at} now={now}",
+            at = key.time,
+        );
+        key.time = key.time.max(now);
+        self.next_seq += 1;
         self.pushed += 1;
         self.len += 1;
         if self.len > self.high_water {
             self.high_water = self.len;
         }
-        let t = at.nanos();
+        let t = key.time.nanos();
         // All placement arithmetic is subtraction-based so times near
         // `u64::MAX` cannot overflow a `base + span` sum.
         if t < self.base || t - self.base < self.width() {
@@ -242,18 +269,10 @@ impl<E> CalendarQueue<E> {
             // is the hot case — every propagation-delayed arrival lands
             // here — and a sift-up over the small pending side beats
             // shifting a sorted buffer.
-            self.pending.push(Entry {
-                time: at,
-                seq,
-                event,
-            });
+            self.pending.push(Entry { key, event });
         } else if t - self.base < self.span() {
             let d = ((t - self.base) >> self.shift) as usize;
-            self.buckets[(self.cur + d) & self.mask].push(Entry {
-                time: at,
-                seq,
-                event,
-            });
+            self.buckets[(self.ring + d) & self.mask].push(Entry { key, event });
             self.ring_len += 1;
             // The push may have landed while the queue was empty (stale
             // window position): restore the eager-drain invariant.
@@ -261,11 +280,7 @@ impl<E> CalendarQueue<E> {
                 self.refill();
             }
         } else {
-            self.far.push(Entry {
-                time: at,
-                seq,
-                event,
-            });
+            self.far.push(Entry { key, event });
             if self.window_empty() {
                 self.refill();
             }
@@ -279,30 +294,37 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp: the
-    /// smaller `(time, seq)` key of the drain buffer's front and the
+    /// smaller key of the drain buffer's front and the
     /// pending heap's top.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let from_pending = match (self.active.front(), self.pending.peek()) {
-            (Some(a), Some(p)) => (p.time, p.seq) < (a.time, a.seq),
+            (Some(a), Some(p)) => p.key < a.key,
             (None, Some(_)) => true,
             (Some(_), None) => false,
             (None, None) => return None,
         };
-        let Entry { time: t, event, .. } = if from_pending {
+        let Entry { key, event } = if from_pending {
             self.pending.pop().expect("peeked pending event vanished")
         } else {
             self.active
                 .pop_front()
                 .expect("peeked active event vanished")
         };
-        debug_assert!(t >= self.now, "calendar produced time regression");
-        self.now = t;
+        debug_assert!(
+            key >= self.cur,
+            "calendar produced key regression: {key:?} after {:?}",
+            self.cur
+        );
+        if self.popped == 0 || key.time > self.cur.time {
+            self.instant_seq = self.next_seq;
+        }
+        self.cur = key;
         self.popped += 1;
         self.len -= 1;
         if self.window_empty() && self.len > 0 {
             self.refill();
         }
-        Some((t, event))
+        Some((key.time, event))
     }
 
     /// Fused `peek_time` + `pop`: pop the head only if it is due at or
@@ -312,42 +334,53 @@ impl<E> CalendarQueue<E> {
     pub fn pop_at_or_before(&mut self, cutoff: SimTime) -> Option<(SimTime, E)> {
         let from_pending = match (self.active.front(), self.pending.peek()) {
             (Some(a), Some(p)) => {
-                let pending_first = (p.time, p.seq) < (a.time, a.seq);
-                let head = if pending_first { p.time } else { a.time };
+                let pending_first = p.key < a.key;
+                let head = if pending_first {
+                    p.key.time
+                } else {
+                    a.key.time
+                };
                 if head > cutoff {
                     return None;
                 }
                 pending_first
             }
             (None, Some(p)) => {
-                if p.time > cutoff {
+                if p.key.time > cutoff {
                     return None;
                 }
                 true
             }
             (Some(a), None) => {
-                if a.time > cutoff {
+                if a.key.time > cutoff {
                     return None;
                 }
                 false
             }
             (None, None) => return None,
         };
-        let Entry { time: t, event, .. } = if from_pending {
+        let Entry { key, event } = if from_pending {
             self.pending.pop().expect("peeked pending event vanished")
         } else {
             self.active
                 .pop_front()
                 .expect("peeked active event vanished")
         };
-        debug_assert!(t >= self.now, "calendar produced time regression");
-        self.now = t;
+        debug_assert!(
+            key >= self.cur,
+            "calendar produced key regression: {key:?} after {:?}",
+            self.cur
+        );
+        if self.popped == 0 || key.time > self.cur.time {
+            self.instant_seq = self.next_seq;
+        }
+        self.cur = key;
         self.popped += 1;
         self.len -= 1;
         if self.window_empty() && self.len > 0 {
             self.refill();
         }
-        Some((t, event))
+        Some((key.time, event))
     }
 
     /// Advance the window machinery until the active window is non-empty.
@@ -355,13 +388,13 @@ impl<E> CalendarQueue<E> {
     fn refill(&mut self) {
         debug_assert!(self.window_empty() && self.len > 0);
         loop {
-            if !self.buckets[self.cur].is_empty() {
+            if !self.buckets[self.ring].is_empty() {
                 // Sort the current window's bucket into the drain buffer,
                 // recycling the buffer's old allocation into the bucket.
                 let spare = Vec::from(std::mem::take(&mut self.active));
-                let mut b = std::mem::replace(&mut self.buckets[self.cur], spare);
+                let mut b = std::mem::replace(&mut self.buckets[self.ring], spare);
                 self.ring_len -= b.len();
-                b.sort_unstable_by_key(|x| (x.time, x.seq));
+                b.sort_unstable_by_key(|x| x.key);
                 self.active = VecDeque::from(b);
                 return;
             }
@@ -369,7 +402,7 @@ impl<E> CalendarQueue<E> {
                 // Advance one window; far events that entered the horizon
                 // land in the just-vacated farthest bucket.
                 self.base += self.width();
-                self.cur = (self.cur + 1) & self.mask;
+                self.ring = (self.ring + 1) & self.mask;
                 self.rotations += 1;
                 self.pull_far();
             } else {
@@ -379,6 +412,7 @@ impl<E> CalendarQueue<E> {
                     .far
                     .peek()
                     .expect("len > 0 with empty active, ring and far")
+                    .key
                     .time
                     .nanos();
                 debug_assert!(t >= self.base);
@@ -393,14 +427,14 @@ impl<E> CalendarQueue<E> {
     /// their buckets.
     fn pull_far(&mut self) {
         while let Some(e) = self.far.peek() {
-            let t = e.time.nanos();
+            let t = e.key.time.nanos();
             debug_assert!(t >= self.base, "far event behind the window");
             if t - self.base >= self.span() {
                 break;
             }
             let e = self.far.pop().expect("peeked far event vanished");
-            let d = ((e.time.nanos() - self.base) >> self.shift) as usize;
-            self.buckets[(self.cur + d) & self.mask].push(e);
+            let d = ((e.key.time.nanos() - self.base) >> self.shift) as usize;
+            self.buckets[(self.ring + d) & self.mask].push(e);
             self.ring_len += 1;
             self.far_pulls += 1;
         }
@@ -409,14 +443,14 @@ impl<E> CalendarQueue<E> {
     /// The timestamp of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek_key().map(|(t, _)| t)
+        self.peek_key().map(|k| k.time)
     }
 
-    /// The `(time, seq)` key of the earliest pending event, if any.
+    /// The key of the earliest pending event, if any.
     #[inline]
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        let a = self.active.front().map(|e| (e.time, e.seq));
-        let p = self.pending.peek().map(|e| (e.time, e.seq));
+    pub fn peek_key(&self) -> Option<EventKey> {
+        let a = self.active.front().map(|e| e.key);
+        let p = self.pending.peek().map(|e| e.key);
         match (a, p) {
             (Some(a), Some(p)) => Some(a.min(p)),
             (a, p) => a.or(p),

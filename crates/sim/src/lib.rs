@@ -21,6 +21,7 @@
 
 pub mod calendar;
 pub mod hash;
+pub mod key;
 pub mod queue;
 pub mod rng;
 pub mod sim_queue;
@@ -29,6 +30,7 @@ pub mod timer;
 
 pub use calendar::CalendarQueue;
 pub use hash::{DetHashMap, DetHashSet, DetHasher, DetState};
+pub use key::{EventKey, Tie};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use sim_queue::SimQueue;

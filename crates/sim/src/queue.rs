@@ -5,23 +5,24 @@
 //! *deterministic* ordering of simultaneous events — two frames scheduled to
 //! end at the same nanosecond must always be processed in the same order, or
 //! replications stop being reproducible. We therefore tie-break equal
-//! timestamps by a monotonically increasing sequence number (FIFO insertion
-//! order).
+//! timestamps by the push instant and a monotonically increasing sequence
+//! number (FIFO insertion order) — the [`EventKey`] order, which anchored
+//! pushes join at an instant of their choosing.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use crate::key::EventKey;
 use crate::time::SimTime;
 
 struct Entry<E> {
-    time: SimTime,
-    seq: u64,
+    key: EventKey,
     event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -34,12 +35,9 @@ impl<E> PartialOrd for Entry<E> {
 
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest
-        // (time, seq) on top.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // Reversed: BinaryHeap is a max-heap, we want the earliest key on
+        // top.
+        other.key.cmp(&self.key)
     }
 }
 
@@ -51,7 +49,10 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    now: SimTime,
+    /// The key of the most recently popped event (the clock is its time).
+    cur: EventKey,
+    /// The sequence number the first push of the current instant took.
+    instant_seq: u64,
     pushed: u64,
     popped: u64,
     high_water: usize,
@@ -69,7 +70,8 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            now: SimTime::ZERO,
+            cur: EventKey::default(),
+            instant_seq: 0,
             pushed: 0,
             popped: 0,
             high_water: 0,
@@ -101,30 +103,55 @@ impl<E> EventQueue<E> {
     /// clock).
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.cur.time
     }
 
-    /// Schedule `event` at absolute time `at`.
+    /// The key of the most recently popped event (the dispatch in
+    /// progress).
+    #[inline]
+    pub fn current_key(&self) -> EventKey {
+        self.cur
+    }
+
+    /// The sequence number the next push takes.
+    #[inline]
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// The sequence number the first push since the clock reached its
+    /// current instant took (or will take).
+    #[inline]
+    pub fn instant_seq(&self) -> u64 {
+        self.instant_seq
+    }
+
+    /// Schedule `event` at absolute time `at`, keyed as a plain push at the
+    /// current clock.
     ///
     /// Scheduling in the past (before the current clock) is clamped to the
     /// current clock in release builds and panics in debug builds — it
     /// indicates a protocol bug such as a negative timer.
     pub fn push(&mut self, at: SimTime, event: E) {
+        let now = self.cur.time;
+        let key = EventKey::plain(at, now, self.next_seq);
+        self.push_keyed(key, event);
+    }
+
+    /// Schedule `event` under an explicit key (an anchored push). The push
+    /// still takes the next sequence number, so sequence numbers keep
+    /// counting pushes.
+    pub fn push_keyed(&mut self, mut key: EventKey, event: E) {
+        let now = self.cur.time;
         debug_assert!(
-            at >= self.now,
+            key.time >= now,
             "event scheduled in the past: at={at} now={now}",
-            at = at,
-            now = self.now
+            at = key.time,
         );
-        let at = at.max(self.now);
-        let seq = self.next_seq;
+        key.time = key.time.max(now);
         self.next_seq += 1;
         self.pushed += 1;
-        self.heap.push(Entry {
-            time: at,
-            seq,
-            event,
-        });
+        self.heap.push(Entry { key, event });
         if self.heap.len() > self.high_water {
             self.high_water = self.heap.len();
         }
@@ -133,28 +160,36 @@ impl<E> EventQueue<E> {
     /// Schedule `event` after a relative delay from the current clock.
     #[inline]
     pub fn push_after(&mut self, delay: SimTime, event: E) {
-        self.push(self.now + delay, event);
+        self.push(self.cur.time + delay, event);
     }
 
-    /// The `(time, seq)` key of the earliest pending event, if any.
+    /// The key of the earliest pending event, if any.
     #[inline]
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|e| (e.time, e.seq))
+    pub fn peek_key(&self) -> Option<EventKey> {
+        self.heap.peek().map(|e| e.key)
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = self.heap.pop()?;
-        debug_assert!(entry.time >= self.now, "heap produced time regression");
-        self.now = entry.time;
+        debug_assert!(
+            entry.key >= self.cur,
+            "heap produced key regression: {:?} after {:?}",
+            entry.key,
+            self.cur
+        );
+        if self.popped == 0 || entry.key.time > self.cur.time {
+            self.instant_seq = self.next_seq;
+        }
+        self.cur = entry.key;
         self.popped += 1;
-        Some((entry.time, entry.event))
+        Some((entry.key.time, entry.event))
     }
 
     /// The timestamp of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.heap.peek().map(|e| e.key.time)
     }
 
     /// Number of pending events.

@@ -1,11 +1,12 @@
 //! The queue interface the engine and the PHY channel schedule through.
 //!
-//! Two implementations pop in the identical `(time, seq)` order: the
+//! Two implementations pop in the identical [`EventKey`] order: the
 //! binary-heap [`EventQueue`] (the differential-testing oracle) and the
 //! [`CalendarQueue`] (the engine default). Embedders generic over
 //! [`SimQueue`] monomorphize to a branch-free hot loop for either.
 
 use crate::calendar::CalendarQueue;
+use crate::key::EventKey;
 use crate::queue::EventQueue;
 use crate::time::SimTime;
 
@@ -19,8 +20,20 @@ pub trait SimQueue<E> {
         Self: Sized;
     /// The current simulation clock (time of the last popped event).
     fn now(&self) -> SimTime;
-    /// Schedule `event` at absolute time `at` (clamped to `now`).
+    /// Schedule `event` at absolute time `at` (clamped to `now`), keyed as
+    /// a plain push at the current clock.
     fn push(&mut self, at: SimTime, event: E);
+    /// Schedule `event` under an explicit key (an anchored push; see
+    /// [`crate::key`]). Takes a sequence number like any push.
+    fn push_keyed(&mut self, key: EventKey, event: E);
+    /// The sequence number the next push takes.
+    fn next_seq(&self) -> u64;
+    /// The sequence number the first push since the clock reached its
+    /// current instant took (or will take).
+    fn instant_seq(&self) -> u64;
+    /// The key of the most recently popped event: the dispatch in
+    /// progress.
+    fn current_key(&self) -> EventKey;
     /// Schedule `event` after a relative delay from the current clock.
     fn push_after(&mut self, delay: SimTime, event: E) {
         self.push(self.now() + delay, event);
@@ -29,10 +42,8 @@ pub trait SimQueue<E> {
     fn pop(&mut self) -> Option<(SimTime, E)>;
     /// The timestamp of the earliest pending event, if any.
     fn peek_time(&self) -> Option<SimTime>;
-    /// The `(time, seq)` key of the earliest pending event, if any. The
-    /// sharded engine's traced path logs each dispatched event's key so
-    /// per-group traces can be merged back into the oracle's order.
-    fn peek_key(&self) -> Option<(SimTime, u64)>;
+    /// The key of the earliest pending event, if any.
+    fn peek_key(&self) -> Option<EventKey>;
     /// Pop the earliest event only if its timestamp is `<= cutoff`; leave
     /// the queue untouched (returning `None`) otherwise. Equivalent to a
     /// `peek_time` check followed by `pop`, but implementations can fuse
@@ -78,6 +89,22 @@ impl<E> SimQueue<E> for EventQueue<E> {
         EventQueue::push_after(self, delay, event)
     }
     #[inline]
+    fn push_keyed(&mut self, key: EventKey, event: E) {
+        EventQueue::push_keyed(self, key, event)
+    }
+    #[inline]
+    fn next_seq(&self) -> u64 {
+        EventQueue::next_seq(self)
+    }
+    #[inline]
+    fn instant_seq(&self) -> u64 {
+        EventQueue::instant_seq(self)
+    }
+    #[inline]
+    fn current_key(&self) -> EventKey {
+        EventQueue::current_key(self)
+    }
+    #[inline]
     fn pop(&mut self) -> Option<(SimTime, E)> {
         EventQueue::pop(self)
     }
@@ -86,7 +113,7 @@ impl<E> SimQueue<E> for EventQueue<E> {
         EventQueue::peek_time(self)
     }
     #[inline]
-    fn peek_key(&self) -> Option<(SimTime, u64)> {
+    fn peek_key(&self) -> Option<EventKey> {
         EventQueue::peek_key(self)
     }
     #[inline]
@@ -129,6 +156,22 @@ impl<E> SimQueue<E> for CalendarQueue<E> {
         CalendarQueue::push_after(self, delay, event)
     }
     #[inline]
+    fn push_keyed(&mut self, key: EventKey, event: E) {
+        CalendarQueue::push_keyed(self, key, event)
+    }
+    #[inline]
+    fn next_seq(&self) -> u64 {
+        CalendarQueue::next_seq(self)
+    }
+    #[inline]
+    fn instant_seq(&self) -> u64 {
+        CalendarQueue::instant_seq(self)
+    }
+    #[inline]
+    fn current_key(&self) -> EventKey {
+        CalendarQueue::current_key(self)
+    }
+    #[inline]
     fn pop(&mut self) -> Option<(SimTime, E)> {
         CalendarQueue::pop(self)
     }
@@ -137,7 +180,7 @@ impl<E> SimQueue<E> for CalendarQueue<E> {
         CalendarQueue::peek_time(self)
     }
     #[inline]
-    fn peek_key(&self) -> Option<(SimTime, u64)> {
+    fn peek_key(&self) -> Option<EventKey> {
         CalendarQueue::peek_key(self)
     }
     #[inline]

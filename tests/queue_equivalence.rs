@@ -6,10 +6,11 @@
 //!
 //! 1. **Queue level** — for random operation schedules (bursty
 //!    same-timestamp clusters, delays that straddle the calendar's
-//!    window/ring/far boundaries, interleaved pops) the calendar pops the
-//!    *identical* `(time, seq, event)` stream as the heap, on the default
-//!    geometry and on deliberately tiny geometries that force constant
-//!    rotation and far-heap traffic.
+//!    window/ring/far boundaries, interleaved pops, anchored pushes that
+//!    tie on `(time, anchor)`) the calendar pops the *identical*
+//!    `(key, event)` stream as the heap, on the default geometry and on
+//!    deliberately tiny geometries that force constant rotation and
+//!    far-heap traffic.
 //! 2. **Replication level** — for scenarios drawn from the fuzz generator,
 //!    a full replication produces a **bit-identical** `RunReport` under
 //!    heap and calendar queues, serial and sharded at 1/2/4/8 shards.
@@ -21,7 +22,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rmac::engine::QueueKind;
 use rmac::prelude::*;
-use rmac::sim::{CalendarQueue, EventQueue};
+use rmac::sim::{CalendarQueue, EventKey, EventQueue, SimTime};
 use rmac_experiments::fuzz::materialize;
 
 use rmac_core::testkit::fuzz::scenario_strategy;
@@ -32,6 +33,11 @@ use rmac_core::testkit::fuzz::scenario_strategy;
 enum Op {
     /// Push at `now + delta_ns`.
     Push(u64),
+    /// Anchored push at `now + delta_ns` (`delta_ns ≥ 1`), sorting as if
+    /// pushed `lead_ns ≥ 1` before that (at most the delay plus one slot,
+    /// so anchors fall both before and after `now`), with one of a few
+    /// lattice rank words so aligned anchors tie.
+    Anchored { delta: u64, lead: u64, lattice: u64 },
     /// Pop the earliest event (no-op on an empty queue).
     Pop,
 }
@@ -72,9 +78,40 @@ fn schedule_strategy() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// Schedules mixing plain and anchored pushes. Anchors come from a few
+/// slot-like leads, so many anchored events share `(time, anchor)` (with
+/// each other, and with plain events pushed at the anchor instant) and
+/// the lattice rank and sequence number must carry the order.
+fn anchored_schedule_strategy() -> impl Strategy<Value = Vec<Op>> {
+    vec(
+        prop_oneof![
+            delta_strategy().prop_map(Op::Push),
+            anchored_strategy(),
+            anchored_strategy(),
+            Just(Op::Pop),
+        ],
+        0..400,
+    )
+}
+
+fn anchored_strategy() -> impl Strategy<Value = Op> {
+    // A lattice event is anchored strictly before it fires.
+    let lead = prop_oneof![Just(1u64), Just(20_000u64), Just(40_000u64), 1u64..60_000];
+    (delta_strategy(), lead, 1u64..4).prop_map(|(delta, lead, lattice)| {
+        let delta = delta.max(1);
+        Op::Anchored {
+            delta,
+            lead: lead.min(delta + 20_000),
+            lattice,
+        }
+    })
+}
+
 /// Apply one schedule to the heap oracle and a calendar twin, asserting
-/// the `(time, seq)` key and the popped `(time, event)` pair agree at
-/// every step, then drain both to empty the same way.
+/// the pending key and the popped `(time, event)` pair agree at every
+/// step, then drain both to empty the same way. Anchored pushes carry
+/// the push's id in their rank word, so keys stay unique as the queues
+/// require.
 fn assert_pops_identical(ops: &[Op], mut cal: CalendarQueue<u32>) -> Result<(), TestCaseError> {
     let mut heap: EventQueue<u32> = EventQueue::new();
     let mut now = 0u64;
@@ -104,6 +141,21 @@ fn assert_pops_identical(ops: &[Op], mut cal: CalendarQueue<u32>) -> Result<(), 
                 let at = rmac::sim::SimTime::from_nanos(now + delta);
                 heap.push(at, next_id);
                 cal.push(at, next_id);
+                next_id += 1;
+            }
+            Op::Anchored {
+                delta,
+                lead,
+                lattice,
+            } => {
+                let at = now + delta;
+                let key = EventKey {
+                    time: SimTime::from_nanos(at),
+                    anchor: SimTime::from_nanos(at.saturating_sub(lead)),
+                    tie: lattice_word(lattice, u64::from(next_id)),
+                };
+                heap.push_keyed(key, next_id);
+                cal.push_keyed(key, next_id);
                 next_id += 1;
             }
             Op::Pop => step(&mut heap, &mut cal, &mut now)?,
@@ -136,6 +188,18 @@ proptest! {
         shift in 3u32..8,
         nbuckets_log2 in 1u32..5,
     ) {
+        assert_pops_identical(&ops, CalendarQueue::with_geometry(shift, 1 << nbuckets_log2))?;
+    }
+
+    /// Anchored and plain pushes mixed, with aligned-anchor ties, pop
+    /// identically on the default and on tiny geometries.
+    #[test]
+    fn anchored_schedules_pop_identically(
+        ops in anchored_schedule_strategy(),
+        shift in 3u32..13,
+        nbuckets_log2 in 1u32..11,
+    ) {
+        assert_pops_identical(&ops, CalendarQueue::new())?;
         assert_pops_identical(&ops, CalendarQueue::with_geometry(shift, 1 << nbuckets_log2))?;
     }
 }
@@ -203,4 +267,65 @@ fn dense_paper_scenario_is_bit_identical() {
     let calendar = run_replication(&cfg, Protocol::Rmac, 42);
     assert_eq!(calendar, oracle);
     assert_eq!(calendar.events, oracle.events);
+}
+
+/// Aligned anchors tie on `(time, anchor)`: lattice rank, then sequence
+/// number, decide; a plain event pushed earlier than the anchor sorts
+/// first and one pushed later sorts last, whatever the push order.
+#[test]
+fn aligned_anchor_ties_pop_in_key_order() {
+    let t = SimTime::from_micros(100);
+    let anchor = SimTime::from_micros(80);
+    let key = |lattice, seq| EventKey {
+        time: t,
+        anchor,
+        tie: lattice_word(lattice, seq),
+    };
+    let mut heap: EventQueue<&str> = EventQueue::new();
+    let mut cal: CalendarQueue<&str> = CalendarQueue::new();
+    for q in [&mut heap as &mut dyn Push, &mut cal] {
+        q.keyed(key(7, 3), "late-lattice");
+        q.keyed(key(2, 9), "early-lattice-second");
+        q.keyed(key(2, 4), "early-lattice-first");
+        q.keyed(
+            EventKey::plain(t, SimTime::from_micros(90), 50),
+            "plain-after",
+        );
+        q.keyed(
+            EventKey::plain(t, SimTime::from_micros(70), 60),
+            "plain-before",
+        );
+    }
+    let order = [
+        "plain-before",
+        "early-lattice-first",
+        "early-lattice-second",
+        "late-lattice",
+        "plain-after",
+    ];
+    for want in order {
+        assert_eq!(heap.pop(), Some((t, want)));
+        assert_eq!(cal.pop(), Some((t, want)));
+    }
+}
+
+/// A lattice event's rank word (top bit set) from a small rank and a
+/// unique low part.
+fn lattice_word(rank: u64, low: u64) -> u64 {
+    (1 << 63) | rank << 40 | low
+}
+
+/// Object-safe push front-end over both queues, for the directed test.
+trait Push {
+    fn keyed(&mut self, key: EventKey, v: &'static str);
+}
+impl Push for EventQueue<&'static str> {
+    fn keyed(&mut self, key: EventKey, v: &'static str) {
+        self.push_keyed(key, v);
+    }
+}
+impl Push for CalendarQueue<&'static str> {
+    fn keyed(&mut self, key: EventKey, v: &'static str) {
+        self.push_keyed(key, v);
+    }
 }
